@@ -115,6 +115,21 @@ void TraceStudyResult::merge(const TraceStudyResult& other) {
     conflicts[block] = graph;
 }
 
+namespace {
+
+// Interpreter throughput of one recording, on its `record` span.
+void add_throughput_args(obs::Span& span, const Machine& machine) {
+  double instructions = static_cast<double>(machine.instructions());
+  span.arg("instructions", instructions);
+  double sec = span.elapsed_seconds();
+  if (sec > 0.0) {
+    span.arg("refs_per_sec", static_cast<double>(machine.refs()) / sec);
+    span.arg("instr_per_sec", instructions / sec);
+  }
+}
+
+}  // namespace
+
 TraceBuffer record_trace(const Compiled& c) {
   obs::Span span("record", "record_trace");
   TraceBuffer trace;
@@ -125,9 +140,7 @@ TraceBuffer record_trace(const Compiled& c) {
   if (span.active()) {
     span.arg("refs", static_cast<double>(trace.size()));
     span.arg("nprocs", static_cast<double>(c.nprocs()));
-    double sec = span.elapsed_seconds();
-    if (sec > 0.0)
-      span.arg("refs_per_sec", static_cast<double>(trace.size()) / sec);
+    add_throughput_args(span, machine);
   }
   return trace;
 }
@@ -144,9 +157,7 @@ EncodedTrace record_encoded_trace(const Compiled& c) {
     span.arg("refs", static_cast<double>(trace.size()));
     span.arg("nprocs", static_cast<double>(c.nprocs()));
     span.arg("bytes_per_ref", trace.bytes_per_ref());
-    double sec = span.elapsed_seconds();
-    if (sec > 0.0)
-      span.arg("refs_per_sec", static_cast<double>(trace.size()) / sec);
+    add_throughput_args(span, machine);
   }
   if (obs::metrics_enabled()) {
     static obs::Gauge& bpr = obs::metric_gauge("trace.codec_bytes_per_ref");

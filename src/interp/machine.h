@@ -2,8 +2,12 @@
 //
 // P logical processors execute the same bytecode (SPMD) over one simulated
 // shared memory.  The scheduler always advances the processor with the
-// smallest local clock, so lock handoffs, barrier arrivals and memory
-// contention resolve in simulated-time order and runs are deterministic.
+// smallest local clock (ties: lowest id), so lock handoffs, barrier
+// arrivals and memory contention resolve in simulated-time order and runs
+// are deterministic.  A processor runs until it spends simulated time on a
+// shared reference or a sync op, or after 256 plain instructions; only
+// then does the scheduler choose again, and it keeps the same processor
+// for as long as that processor would still win the choice (run-ahead).
 // Locks are test-and-test-and-set spins on shared words; the barrier is a
 // central sense-reversing barrier — both generate real coherence traffic,
 // which is what lock padding (§3.2) acts on.
@@ -16,7 +20,7 @@
 namespace fsopt {
 
 struct MachineOptions {
-  /// Timing model; null = uniform 2-cycle references (trace mode).
+  /// Timing model; null = every reference costs 2 cycles (trace mode).
   MemorySystem* memsys = nullptr;
   /// Optional trace sink receiving every shared-memory reference.
   /// References are staged internally and delivered in batches (in exact
@@ -57,9 +61,9 @@ class Machine {
 
  private:
   struct Frame {
-    int func = -1;
     int ret_pc = 0;
-    std::vector<i64> locals;
+    size_t base = 0;  // first local slot in the processor's locals arena
+    size_t end = 0;   // one past the last local slot
   };
   enum class Wait : u8 { kNone, kLockSpin, kBarrier };
   struct Proc {
@@ -67,7 +71,9 @@ class Machine {
     i64 time = 0;
     int pc = 0;
     bool halted = false;
-    std::vector<i64> stack;
+    std::vector<i64> stack;   // operand stack storage; [0, depth) is live
+    size_t depth = 0;
+    std::vector<i64> locals;  // locals arena, indexed by Frame::base
     std::vector<Frame> frames;
     Wait wait = Wait::kNone;
     i64 lock_addr = 0;
@@ -77,6 +83,7 @@ class Machine {
   };
 
   void step(Proc& p);
+  void exec_access(Proc& p, const Instr& in);
   void exec_sync(Proc& p, const Instr& in);
   /// Issue one shared-memory reference; returns its latency.
   i64 ref(Proc& p, i64 addr, i64 size, bool is_write);
@@ -86,11 +93,10 @@ class Machine {
 
   const CodeImage& img_;
   MachineOptions opt_;
-  UniformMemory uniform_{2};
-  MemorySystem* memsys_;
   std::vector<u8> mem_;
   std::vector<Proc> procs_;
   std::vector<MemRef> stage_;  // staged refs awaiting sink delivery
+  size_t staged_ = 0;
   u64 instructions_ = 0;
   u64 refs_ = 0;
 };

@@ -229,6 +229,119 @@ TEST(Machine, DivisionByZeroThrows) {
   EXPECT_THROW(m.run(), InternalError);
 }
 
+TEST(Machine, ModuloByZeroThrows) {
+  Compiled c = build(
+      "param NPROCS = 1; int x; int q;"
+      "void main(int pid) { x = 5 % q; }");
+  MachineOptions mo;
+  Machine m(c.code, mo);
+  EXPECT_THROW(m.run(), InternalError);
+}
+
+// A one-processor image running `body` then kHalt, with one plan: a 4x4
+// int array at address 0 (row stride 16 bytes).
+CodeImage hand_built(std::vector<Instr> body) {
+  CodeImage img;
+  img.code = std::move(body);
+  img.code.push_back({Op::kHalt});
+  AccessPlan a;
+  a.dims = {{1, 0, 16}, {1, 0, 4}};
+  a.extents = {4, 4};
+  a.size = 4;
+  a.name = "a";
+  img.plans.push_back(a);
+  FuncInfo main_fn;
+  main_fn.name = "main";
+  main_fn.nlocals = 1;
+  main_fn.nparams = 1;
+  img.funcs.push_back(main_fn);
+  img.main_func = 0;
+  img.nprocs = 1;
+  img.globals_bytes = 64;
+  img.barrier_base = 64;
+  img.total_bytes = 64 + 3 * 4;
+  return img;
+}
+
+// Runs `img` and returns the InternalError message ("" if none).
+std::string run_error(const CodeImage& img) {
+  MachineOptions mo;
+  Machine m(img, mo);
+  try {
+    m.run();
+  } catch (const InternalError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Machine, HandBuiltImageRuns) {
+  // a[1][2] = 7, then a[1][2] is read back onto the stack and popped.
+  CodeImage img = hand_built({{Op::kPushI, 1}, {Op::kPushI, 2},
+                              {Op::kPushI, 7}, {Op::kStoreG, 0},
+                              {Op::kPushI, 1}, {Op::kPushI, 2},
+                              {Op::kLoadG, 0}, {Op::kPop, 0}});
+  MachineOptions mo;
+  Machine m(img, mo);
+  m.run();
+  EXPECT_EQ(m.load_int(1 * 16 + 2 * 4), 7);
+  EXPECT_EQ(m.refs(), 2u);
+  EXPECT_EQ(m.instructions(), 9u);
+}
+
+TEST(Machine, PopOnEmptyStackThrows) {
+  EXPECT_EQ(run_error(hand_built({{Op::kPop, 0}})),
+            "operand stack underflow");
+}
+
+TEST(Machine, BinaryOpWithOneOperandThrows) {
+  EXPECT_EQ(run_error(hand_built({{Op::kPushI, 3}, {Op::kAddI, 0}})),
+            "operand stack underflow");
+}
+
+TEST(Machine, StoreWithTooFewIndicesThrows) {
+  // The value pops fine; only one of the two indices is there.
+  EXPECT_EQ(run_error(hand_built(
+                {{Op::kPushI, 1}, {Op::kPushI, 7}, {Op::kStoreG, 0}})),
+            "operand stack underflow at access");
+  // No value at all.
+  EXPECT_EQ(run_error(hand_built({{Op::kStoreG, 0}})),
+            "operand stack underflow");
+}
+
+TEST(Machine, LockWithTooFewIndicesThrows) {
+  EXPECT_EQ(run_error(hand_built({{Op::kPushI, 0}, {Op::kLock, 0}})),
+            "stack underflow at lock");
+}
+
+TEST(Machine, UnlockWithTooFewIndicesThrows) {
+  EXPECT_EQ(run_error(hand_built({{Op::kUnlock, 0}})),
+            "stack underflow at unlock");
+}
+
+TEST(Machine, MalformedImageIsRejected) {
+  MachineOptions mo;
+  CodeImage bad_op = hand_built({{static_cast<Op>(200), 0}});
+  EXPECT_THROW(Machine(bad_op, mo), InternalError);
+  CodeImage bad_frame = hand_built({});
+  bad_frame.funcs[0].nlocals = 0;  // the pid parameter has no slot
+  EXPECT_THROW(Machine(bad_frame, mo), InternalError);
+}
+
+TEST(Machine, OperandStackGrowsPastItsInitialSize) {
+  // a[0][0] = 1 + 2 + ... + 300, with all 300 terms pushed before the
+  // first add, so the stack holds 302 values at its deepest.
+  std::vector<Instr> body = {{Op::kPushI, 0}, {Op::kPushI, 0}};
+  for (i64 v = 1; v <= 300; ++v) body.push_back({Op::kPushI, v});
+  for (int i = 1; i < 300; ++i) body.push_back({Op::kAddI, 0});
+  body.push_back({Op::kStoreG, 0});
+  CodeImage img = hand_built(body);
+  MachineOptions mo;
+  Machine m(img, mo);
+  m.run();
+  EXPECT_EQ(m.load_int(0), 300 * 301 / 2);
+}
+
 TEST(Machine, InstructionBudgetGuards) {
   Compiled c = build(
       "param NPROCS = 1; int x;"
@@ -237,6 +350,45 @@ TEST(Machine, InstructionBudgetGuards) {
   mo.max_instructions = 10000;
   Machine m(c.code, mo);
   EXPECT_THROW(m.run(), InternalError);
+}
+
+TEST(Machine, InstructionBudgetThrowsWhenTheCountReachesTheLimit) {
+  // Budgets below, at and above the 256-instruction yield, on one and on
+  // several processors: the throw comes when instructions() reaches
+  // max_instructions, never earlier or later.
+  for (i64 nprocs : {1, 3}) {
+    Compiled c = build(
+        "param NPROCS = 3; int x[3];"
+        "void main(int pid) { while (1) { x[pid] = x[pid] + 1; } }",
+        nprocs);
+    for (u64 limit : {1u, 255u, 256u, 257u, 513u, 10000u}) {
+      SCOPED_TRACE("nprocs " + std::to_string(nprocs) + " limit " +
+                   std::to_string(limit));
+      MachineOptions mo;
+      mo.max_instructions = limit;
+      Machine m(c.code, mo);
+      EXPECT_THROW(m.run(), InternalError);
+      EXPECT_EQ(m.instructions(), limit);
+    }
+  }
+}
+
+TEST(Machine, RunAfterCompletionChangesNothing) {
+  Compiled c = build(
+      "param NPROCS = 3; int a[3];"
+      "void main(int pid) { a[pid] = a[pid] + pid + 1; }",
+      3);
+  VectorSink sink;
+  MachineOptions mo;
+  mo.sink = &sink;
+  Machine m(c.code, mo);
+  m.run();
+  std::vector<u8> image = m.memory();
+  u64 instructions = m.instructions();
+  m.run();
+  EXPECT_EQ(m.memory(), image);
+  EXPECT_EQ(m.instructions(), instructions);
+  EXPECT_EQ(sink.refs().size(), m.refs());
 }
 
 TEST(Machine, FinishCyclesIsMaxOverProcs) {

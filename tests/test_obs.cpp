@@ -182,6 +182,29 @@ const char* kProgram =
     "  barrier();\n"
     "}\n";
 
+// Both recording entry points report the interpreter's throughput: the
+// instruction count it executed and instructions per second beside
+// references per second.
+TEST_F(ObsTest, RecordSpansCarryInterpreterThroughput) {
+  Compiled c = compile_source(kProgram, CompileOptions{});
+  std::unique_ptr<Machine> m = run_program(c);
+  record_trace(c);
+  record_encoded_trace(c);
+  obs::TraceData data = obs::collect();
+  for (const char* name : {"record_trace", "record_encoded_trace"}) {
+    SCOPED_TRACE(name);
+    const obs::SpanEvent* span = find_span(data, name);
+    ASSERT_NE(span, nullptr);
+    std::map<std::string, double> args;
+    for (const obs::Arg& a : span->args) args[a.key] = a.num;
+    EXPECT_EQ(args["instructions"], static_cast<double>(m->instructions()));
+    EXPECT_EQ(args["refs"], static_cast<double>(m->refs()));
+    ASSERT_TRUE(args.count("refs_per_sec"));
+    ASSERT_TRUE(args.count("instr_per_sec"));
+    EXPECT_GT(args["instr_per_sec"], args["refs_per_sec"]);
+  }
+}
+
 TEST_F(ObsTest, EndToEndRunEmitsPassRecordAndReplaySpans) {
   Compiled c = compile_source(kProgram, CompileOptions{});
   TraceBuffer trace = record_trace(c);
