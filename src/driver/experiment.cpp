@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <map>
 #include <memory>
 
@@ -14,20 +13,6 @@ namespace fsopt {
 
 std::vector<i64> paper_block_sizes() { return {4, 8, 16, 32, 64, 128, 256}; }
 std::vector<i64> table2_block_sizes() { return {8, 16, 32, 64, 128, 256}; }
-
-namespace {
-// 0 = auto (FSOPT_THREADS env or hardware concurrency).
-std::atomic<int> g_experiment_threads{0};
-}  // namespace
-
-void set_experiment_threads(int threads) {
-  g_experiment_threads.store(threads < 0 ? 0 : threads);
-}
-
-int experiment_threads() {
-  int n = g_experiment_threads.load();
-  return n > 0 ? n : default_thread_count();
-}
 
 namespace {
 
@@ -743,6 +728,23 @@ RepairResult repair_loop(std::string_view source, const CompileOptions& base,
   return out;
 }
 
+namespace {
+
+/// A candidate's search score from its per-block-size stats.
+PlanScore plan_score(const std::map<i64, MissStats>& sweep,
+                     const std::vector<i64>& blocks, i64 footprint) {
+  PlanScore score;
+  for (i64 b : blocks) {
+    const MissStats& s = sweep.at(b);
+    score.fs[b] = s.false_sharing;
+    score.cold_capacity[b] = s.cold + s.replacement;
+  }
+  score.footprint = footprint;
+  return score;
+}
+
+}  // namespace
+
 SearchPlanResult search_plan(std::string_view source,
                              const CompileOptions& base,
                              const SearchPlanOptions& opt) {
@@ -820,30 +822,33 @@ SearchPlanResult search_plan(std::string_view source,
 
   // Candidate evaluation: recompile against the shared front, record
   // the trace once, replay every swept size in a single pass.  The
-  // replay engine is bit-identical for any thread count, so the whole
-  // search is too.
+  // search scores candidates concurrently on the shared pool — that is
+  // where its threads go — so each replay runs on its own worker with
+  // one thread.  The replay engine is bit-identical for any thread
+  // count, so the whole search is too.
   PlanEvaluator evaluate = [&](const TransformPlan& p) {
     CompileOptions cand_opt = copt;
     cand_opt.plan = std::make_shared<TransformPlan>(p);
     Compiled cand = run_back(front, cand_opt);
-    TraceStudyResult study = run_trace_study(
-        cand, blocks, sopt.l1_bytes, nullptr, sopt.threads, 0, false);
-    PlanScore score;
-    for (i64 b : blocks) {
-      const MissStats& s = study.at(b);
-      score.fs[b] = s.false_sharing;
-      score.cold_capacity[b] = s.cold + s.replacement;
-    }
-    score.footprint = cand.layout.total_bytes();
-    return score;
+    TraceStudyResult study =
+        run_trace_study(cand, blocks, sopt.l1_bytes, nullptr, 1, 0, false);
+    return plan_score(study.by_block, blocks, cand.layout.total_bytes());
   };
+
+  // The seed's score is the repair loop's last sweep of its final
+  // compile: recording and replaying the same plan again would
+  // reproduce it exactly.
+  PlanScore seed_score = plan_score(
+      out.seed.iterations.empty() ? out.seed.baseline_sweep
+                                  : out.seed.iterations.back().sweep,
+      blocks, cur.layout.total_bytes());
 
   TransformPlan seed_plan = out.seed.final_plan();
   PlannerInputs in{cur.report,      cur.summary, copt.decision,
                    sopt.block_size, &profile,    &seed_plan};
   in.conflicts = &conflicts;
-  SearchPlanner planner(opt.budget, blocks, evaluate);
-  out.search = planner.search(in);
+  SearchPlanner planner(opt.budget, blocks, evaluate, sopt.threads);
+  out.search = planner.search(in, &seed_score);
 
   CompileOptions fin = copt;
   fin.plan = std::make_shared<TransformPlan>(out.search.best().plan);

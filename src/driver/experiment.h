@@ -32,13 +32,9 @@ std::vector<i64> paper_block_sizes();  // 4..256
 /// Block sizes used for Table 2 averages (8-256).
 std::vector<i64> table2_block_sizes();
 
-/// Process-wide parallelism knob for the harness (replays, sweeps):
-///   0  = auto: FSOPT_THREADS env var if set, else hardware concurrency;
-///   1  = serial;
-///   N  = at most N worker threads.
-/// Results never depend on this — only wall-clock does.
-void set_experiment_threads(int threads);
-int experiment_threads();
+// The harness's parallelism knob, set_experiment_threads /
+// experiment_threads, lives in support/thread_pool.h beside the shared
+// pool it sizes.
 
 struct TraceStudyResult {
   std::map<i64, MissStats> by_block;  // block size -> stats
@@ -278,16 +274,20 @@ RepairResult repair_loop(std::string_view source, const CompileOptions& base,
 // The graph repair loop seeds the search: its converged plan becomes
 // candidate 0, so the search result can never be worse than the greedy
 // planner at any swept block size — per-block winners are argmins over
-// evaluated candidates and the seed is always evaluated.  Every further
-// candidate is compiled against the same shared front half (symbol ids
-// stay stable, so plans remain valid), its trace recorded once, and all
-// swept block sizes replayed in a single pass (replay_multi).
+// evaluated candidates and the seed is always evaluated.  The seed's
+// score is the repair loop's own last sweep, not a second replay.  Every
+// further candidate is compiled against the same shared front half
+// (symbol ids stay stable, so plans remain valid), its trace recorded
+// once, and all swept block sizes replayed in a single pass
+// (replay_multi); the candidates of one beam round are scored
+// concurrently on the shared pool.
 // ---------------------------------------------------------------------------
 
 struct SearchPlanOptions {
   /// The seeding repair loop (planner_name is forced to "graph"; its
-  /// block_size / sweep_blocks / l1_bytes / threads also govern the
-  /// candidate evaluations).
+  /// block_size / sweep_blocks / l1_bytes also govern the candidate
+  /// evaluations, and its `threads` is how many candidates are scored at
+  /// once, each replaying on one thread).
   RepairLoopOptions seed;
   SearchBudget budget;
 };

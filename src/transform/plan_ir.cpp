@@ -1,5 +1,7 @@
 #include "transform/plan_ir.h"
 
+#include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <sstream>
 
@@ -281,7 +283,10 @@ TransformPlan plan_from_json(std::string_view json, const Program& prog) {
          {"intra-pad", TransformKind::kIntraPad}});
     if (d.kind == TransformKind::kGroupTranspose ||
         d.kind == TransformKind::kIndirection) {
-      d.pid_dim = static_cast<int>(int_member(jd, "pid_dim", "decision"));
+      // Clamped, not truncated: an out-of-int value must stay out of
+      // range for plan_parameter_errors to reject.
+      d.pid_dim = static_cast<int>(std::clamp<i64>(
+          int_member(jd, "pid_dim", "decision"), INT_MIN, INT_MAX));
       d.shape = parse_enum<PartitionShape>(
           member(jd, "shape", "decision"), "partition shape",
           {{"blocked", PartitionShape::kBlocked},
@@ -335,7 +340,60 @@ TransformPlan plan_from_json(std::string_view json, const Program& prog) {
     }
     plan.decisions.push_back(std::move(d));
   }
+  std::vector<std::string> errors = plan_parameter_errors(plan, prog);
+  if (!errors.empty()) {
+    std::string msg = "plan rejected:";
+    for (const std::string& e : errors) msg += "\n  " + e;
+    throw InternalError(msg);
+  }
   return plan;
+}
+
+std::vector<std::string> plan_parameter_errors(const TransformPlan& plan,
+                                               const Program& prog) {
+  std::vector<std::string> errors;
+  for (const TransformDecision& d : plan.decisions) {
+    const bool barrier = d.datum.sym == kBarrierSym && d.datum.field < 0;
+    const GlobalSym* g =
+        d.datum.sym >= 0 && static_cast<size_t>(d.datum.sym) <
+                                prog.globals.size()
+            ? prog.globals[static_cast<size_t>(d.datum.sym)].get()
+            : nullptr;
+    const bool field_ok =
+        d.datum.field < 0 ||
+        (g != nullptr && g->elem.is_struct &&
+         static_cast<size_t>(d.datum.field) < g->elem.strct->fields.size());
+    if ((g == nullptr && !barrier) || !field_ok) {
+      errors.push_back("decision names an unknown datum (symbol " +
+                       std::to_string(d.datum.sym) + ", field " +
+                       std::to_string(d.datum.field) + ")");
+      continue;
+    }
+    const std::string what = std::string(transform_name(d.kind)) +
+                             " on '" + datum_spelling(d.datum, prog) + "'";
+    if (d.kind == TransformKind::kGroupTranspose ||
+        d.kind == TransformKind::kIndirection) {
+      // The datum's rank: the symbol's dimensions, plus the field-array
+      // dimension of an array field.
+      i64 rank = g != nullptr ? static_cast<i64>(g->dims.size()) : 0;
+      if (g != nullptr && d.datum.field >= 0 &&
+          g->elem.strct->fields[static_cast<size_t>(d.datum.field)]
+                  .array_len > 0)
+        ++rank;
+      if (d.pid_dim < 0 || d.pid_dim >= rank)
+        errors.push_back(what + ": pid_dim " + std::to_string(d.pid_dim) +
+                         " is outside the datum's " + std::to_string(rank) +
+                         " dimension(s)");
+    }
+    const bool uses_chunk =
+        d.kind == TransformKind::kIntraPad ||
+        (d.kind == TransformKind::kGroupTranspose &&
+         d.shape == PartitionShape::kBlocked);
+    if (uses_chunk && d.chunk <= 0)
+      errors.push_back(what + ": chunk " + std::to_string(d.chunk) +
+                       " must be positive");
+  }
+  return errors;
 }
 
 // ---------------------------------------------------------------------------

@@ -138,8 +138,17 @@ void plan_to_writer(json::Writer& w, const TransformPlan& plan,
 
 /// Parse a plan written by plan_to_json (or hand-edited).  Throws
 /// InternalError naming the offending field on malformed documents,
-/// unknown symbols/fields or enum spellings.
+/// unknown symbols/fields or enum spellings, or any decision that
+/// plan_parameter_errors rejects.
 TransformPlan plan_from_json(std::string_view json, const Program& prog);
+
+/// Checks the numbers a decision hands to the layout as indices or
+/// divisors: a group&transpose or indirection `pid_dim` must name one of
+/// its datum's dimensions, and `chunk` must be positive where the layout
+/// uses it (blocked group&transpose, intra-pad strides).  Returns one
+/// message per rejected decision, empty when the plan passes.
+std::vector<std::string> plan_parameter_errors(const TransformPlan& plan,
+                                               const Program& prog);
 
 // ---------------------------------------------------------------------------
 // Diffing.

@@ -1,14 +1,15 @@
 #include "transform/search.h"
 
 #include <algorithm>
+#include <atomic>
 #include <climits>
 #include <cstdlib>
-#include <optional>
 #include <set>
 
 #include "lang/ast.h"
 #include "obs/metrics.h"
 #include "support/json.h"
+#include "support/thread_pool.h"
 
 namespace fsopt {
 
@@ -358,7 +359,8 @@ TransformPlan SearchPlanner::plan(const PlannerInputs& in) const {
   return r.best().plan;
 }
 
-SearchResult SearchPlanner::search(const PlannerInputs& in) const {
+SearchResult SearchPlanner::search(const PlannerInputs& in,
+                                   const PlanScore* seed_score) const {
   FSOPT_CHECK(static_cast<bool>(evaluate_),
               "SearchPlanner requires a PlanEvaluator");
   SearchResult out;
@@ -374,33 +376,101 @@ SearchResult SearchPlanner::search(const PlannerInputs& in) const {
   seed.block_size = in.block_size;
 
   std::set<std::string> seen;
-  std::optional<PlanScore> baseline;  // the seed's score, set after [0]
-
-  auto evaluate = [&](TransformPlan p) {
-    SearchCandidate c;
-    c.order = static_cast<int>(out.evaluated.size());
-    c.score = evaluate_(p);
-    ++out.replays;
-    c.fs_total = c.score.fs_total();
-    if (baseline.has_value()) {
-      for (const auto& [b, v] : c.score.cold_capacity) {
-        auto it = baseline->cold_capacity.find(b);
-        u64 base = it != baseline->cold_capacity.end() ? it->second : 0;
-        if (v > base) c.spatial_loss += v - base;
-      }
-      if (c.score.footprint > baseline->footprint)
-        c.spatial_loss += static_cast<u64>(
-            (c.score.footprint - baseline->footprint + in.block_size - 1) /
-            in.block_size);
-    }
-    c.plan = std::move(p);
-    out.evaluated.push_back(std::move(c));
-  };
-
   ++out.generated;
   seen.insert(plan_key(seed));
-  evaluate(seed);
-  baseline = out.evaluated.front().score;
+  {
+    SearchCandidate c;
+    c.score = seed_score != nullptr ? *seed_score : evaluate_(seed);
+    c.fs_total = c.score.fs_total();
+    c.plan = seed;
+    out.evaluated.push_back(std::move(c));
+    ++out.replays;
+  }
+  const PlanScore baseline = out.evaluated.front().score;
+
+  // Scores one admitted plan.  Reads no search state but `baseline`, so
+  // a batch of admitted plans can be scored concurrently.
+  auto score = [&](const TransformPlan& p, int order) {
+    SearchCandidate c;
+    c.order = order;
+    c.score = evaluate_(p);
+    c.fs_total = c.score.fs_total();
+    for (const auto& [b, v] : c.score.cold_capacity) {
+      auto it = baseline.cold_capacity.find(b);
+      u64 base = it != baseline.cold_capacity.end() ? it->second : 0;
+      if (v > base) c.spatial_loss += v - base;
+    }
+    if (c.score.footprint > baseline.footprint)
+      c.spatial_loss += static_cast<u64>(
+          (c.score.footprint - baseline.footprint + in.block_size - 1) /
+          in.block_size);
+    c.plan = p;
+    return c;
+  };
+  auto perfect = [](const SearchCandidate& c) {
+    return c.fs_total == 0 && c.spatial_loss == 0;  // cannot be beaten
+  };
+
+  // Speculate, then commit in order.  Admission walks candidates
+  // serially and never looks at a score: the footprint constraint, the
+  // dedup against every plan admitted so far and the replay cap depend
+  // only on plans and counts.  The admitted batch is then scored in
+  // parallel into per-index slots, and the slots are committed in
+  // admission order — exactly the sequence a one-at-a-time walk would
+  // have evaluated.
+  struct Admitted {
+    TransformPlan plan;
+    i64 growth;
+    // Counters right after this admission: what a stop here restores.
+    u64 generated;
+    u64 pruned;
+  };
+  std::vector<Admitted> batch;
+  auto admit = [&](TransformPlan p, i64 growth) {
+    ++out.generated;
+    if (growth > budget_.footprint_limit ||
+        !seen.insert(plan_key(p)).second) {
+      ++out.pruned;
+      return;
+    }
+    batch.push_back({std::move(p), growth, out.generated, out.pruned});
+  };
+  auto in_flight = [&] { return out.replays + batch.size(); };
+  // Scores and commits `batch`; appends each committed candidate's index
+  // and growth to `next`/`growth_acc` when given.  With stop_on_perfect,
+  // the first perfect candidate ends the search: the slots after it are
+  // discarded (workers skip the ones they have not started) and the
+  // counters rewind to that admission.  Returns false on such a stop.
+  auto commit_batch = [&](bool stop_on_perfect, std::vector<size_t>* next,
+                          std::vector<i64>* growth_acc) {
+    const size_t n = batch.size();
+    const int first = static_cast<int>(out.evaluated.size());
+    std::vector<SearchCandidate> slots(n);
+    std::atomic<size_t> stop{n};
+    parallel_for_each(threads_, n, [&](size_t i) {
+      if (i > stop.load()) return;
+      slots[i] = score(batch[i].plan, first + static_cast<int>(i));
+      if (stop_on_perfect && perfect(slots[i])) {
+        size_t s = stop.load();
+        while (i < s && !stop.compare_exchange_weak(s, i)) {
+        }
+      }
+    });
+    bool going = true;
+    for (size_t i = 0; i < n && going; ++i) {
+      ++out.replays;
+      if (next != nullptr) next->push_back(out.evaluated.size());
+      if (growth_acc != nullptr) growth_acc->push_back(batch[i].growth);
+      out.evaluated.push_back(std::move(slots[i]));
+      if (stop_on_perfect && perfect(out.evaluated.back())) {
+        out.generated = batch[i].generated;
+        out.pruned = batch[i].pruned;
+        going = false;
+      }
+    }
+    batch.clear();
+    return going;
+  };
 
   // A seed with zero false sharing at every swept size is already
   // optimal on the primary axis and, by definition, has zero loss on the
@@ -417,28 +487,10 @@ SearchResult SearchPlanner::search(const PlannerInputs& in) const {
       return move_growth(m, gs, in.block_size);
     };
 
-    // Candidate admission: dedup against every plan already evaluated
-    // and enforce the footprint constraint over the assignment's summed
-    // move growth.  Returns true when the candidate was evaluated.
-    auto try_candidate = [&](const TransformPlan& p, i64 growth) -> bool {
-      ++out.generated;
-      if (growth > budget_.footprint_limit) {
-        ++out.pruned;
-        return false;
-      }
-      std::string key = plan_key(p);
-      if (!seen.insert(key).second) {
-        ++out.pruned;
-        return false;
-      }
-      evaluate(p);
-      return true;
-    };
-
     // Exhaustive regime: when the pruned domain product fits the replay
     // budget, enumerate every assignment (mixed-radix counter; digit 0
-    // keeps the seed's treatment of that datum).  This is the regime the
-    // brute-force oracle test exercises.
+    // keeps the seed's treatment of that datum) as one batch.  This is
+    // the regime the brute-force oracle test exercises.
     u64 space = 1;
     for (const SearchDomain& d : domains) {
       space *= static_cast<u64>(d.moves.size()) + 1;
@@ -460,14 +512,16 @@ SearchResult SearchPlanner::search(const PlannerInputs& in) const {
           p = apply_search_move(p, m);
           growth += growth_of(m);
         }
-        try_candidate(p, growth);
-        budget_left =
-            out.replays <= static_cast<u64>(budget_.max_replays);
+        admit(std::move(p), growth);
+        budget_left = in_flight() <= static_cast<u64>(budget_.max_replays);
       }
+      commit_batch(false, nullptr, nullptr);
     } else if (!domains.empty()) {
       // Beam search: each round expands every beam plan by every single
       // feasible move, in deterministic (beam, domain, move) order, then
-      // keeps the lexicographically best `beam_width` candidates.
+      // keeps the lexicographically best `beam_width` candidates.  A
+      // round is one batch: its admissions depend only on the beam,
+      // which the previous round's committed scores fixed.
       auto better = [&](size_t a, size_t b) {
         const SearchCandidate& ca = out.evaluated[a];
         const SearchCandidate& cb = out.evaluated[b];
@@ -482,31 +536,22 @@ SearchResult SearchPlanner::search(const PlannerInputs& in) const {
       std::vector<size_t> beam = {0};
       for (int round = 0; round < budget_.max_rounds && budget_left;
            ++round) {
-        std::vector<size_t> next;
         for (size_t bi : beam) {
           for (const SearchDomain& d : domains) {
             for (const TransformDecision& m : d.moves) {
-              if (out.replays >
-                  static_cast<u64>(budget_.max_replays)) {
+              if (in_flight() > static_cast<u64>(budget_.max_replays)) {
                 budget_left = false;
                 break;
               }
-              TransformPlan p = apply_search_move(out.evaluated[bi].plan, m);
-              i64 growth = growth_acc[bi] + growth_of(m);
-              size_t before = out.evaluated.size();
-              if (try_candidate(p, growth)) {
-                growth_acc.push_back(growth);
-                next.push_back(before);
-                if (out.evaluated.back().fs_total == 0 &&
-                    out.evaluated.back().spatial_loss == 0)
-                  budget_left = false;  // cannot be beaten
-              }
-              if (!budget_left) break;
+              admit(apply_search_move(out.evaluated[bi].plan, m),
+                    growth_acc[bi] + growth_of(m));
             }
             if (!budget_left) break;
           }
           if (!budget_left) break;
         }
+        std::vector<size_t> next;
+        if (!commit_batch(true, &next, &growth_acc)) budget_left = false;
         if (next.empty()) break;
         std::vector<size_t> pool = beam;
         pool.insert(pool.end(), next.begin(), next.end());

@@ -30,6 +30,13 @@
 // replays are bit-identical by construction).  Besides the single best
 // plan the search keeps the best plan *per swept block size* and the
 // Pareto frontier over the two axes (`fsoptc --pareto-out`).
+//
+// Parallelism: speculate, then commit in order.  Which candidates a beam
+// round (or the exhaustive enumeration) admits depends only on plans and
+// counts, never on a score, so admission runs serially and the admitted
+// batch is scored concurrently on the shared pool into per-index slots.
+// The slots are then committed in admission order under the serial
+// rules, so SearchResult is the same for every thread count.
 #pragma once
 
 #include <functional>
@@ -56,7 +63,9 @@ struct PlanScore {
 
 /// Compile + trace + replay one candidate plan.  Must be deterministic:
 /// the same plan must always produce the same score (the replay engine
-/// guarantees bit-identical stats for any thread count).
+/// guarantees bit-identical stats for any thread count).  The search
+/// calls it concurrently from up to its thread count of pool workers, so
+/// it must also be safe to call from several threads at once.
 using PlanEvaluator = std::function<PlanScore(const TransformPlan&)>;
 
 /// Cost bound for the search.  `max_replays` caps candidate evaluations
@@ -125,7 +134,10 @@ struct SearchResult {
   bool exhaustive = false;
   u64 generated = 0;  // candidate plans considered (including pruned)
   u64 pruned = 0;     // rejected by constraint propagation / dedup
-  u64 replays = 0;    // evaluator invocations (seed included)
+  /// Committed candidate scorings, the seed included even when its score
+  /// was passed in.  Scorings discarded past a perfect candidate do not
+  /// count.
+  u64 replays = 0;
 
   const SearchCandidate& best() const { return evaluated[best_overall]; }
 };
@@ -133,17 +145,23 @@ struct SearchResult {
 /// Budgeted plan-space search.  `blocks` are the swept block sizes the
 /// evaluator scores at (they become SearchResult::blocks); the seed plan
 /// is `in.base` when set, else the GraphPlanner plan for the same inputs.
+/// `threads` bounds how many candidates are scored at once (0 =
+/// experiment_threads()); the result does not depend on it.
 class SearchPlanner : public Planner {
  public:
   SearchPlanner(SearchBudget budget, std::vector<i64> blocks,
-                PlanEvaluator evaluate)
+                PlanEvaluator evaluate, int threads = 1)
       : budget_(budget), blocks_(std::move(blocks)),
-        evaluate_(std::move(evaluate)) {}
+        evaluate_(std::move(evaluate)), threads_(threads) {}
 
   const char* name() const override { return "search"; }
   /// The best-overall plan of search().
   TransformPlan plan(const PlannerInputs& in) const override;
-  SearchResult search(const PlannerInputs& in) const;
+  /// `seed_score`, when given, is the seed plan's already-measured score
+  /// and is used instead of evaluating the seed again; it still counts
+  /// as one of SearchResult::replays.
+  SearchResult search(const PlannerInputs& in,
+                      const PlanScore* seed_score = nullptr) const;
 
   /// The constraint-pruned per-datum move domains for `in`, in the
   /// deterministic order the search explores them.  Public so the
@@ -154,6 +172,7 @@ class SearchPlanner : public Planner {
   SearchBudget budget_;
   std::vector<i64> blocks_;
   PlanEvaluator evaluate_;
+  int threads_;
 };
 
 /// Apply one search move to a plan: decisions colliding with the move's

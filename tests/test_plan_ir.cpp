@@ -185,6 +185,94 @@ TEST(PlanJson, RejectsMalformedDocuments) {
                InternalError);
 }
 
+// Decisions whose numbers would index or divide outside the datum are
+// rejected with a message naming them, never handed to the layout (a
+// pid_dim of 2^31-1 on a group&transpose used to crash --plan-in).
+std::string plan_doc(const std::string& decision) {
+  return R"({"plan_version": 1, "planner": "x", "block_size": 128,
+      "decisions": [)" + decision + "]}";
+}
+
+std::string gt_decision(const char* datum, const std::string& pid_dim,
+                        const char* shape, const std::string& chunk) {
+  return std::string(R"({"datum": ")") + datum +
+         R"(", "kind": "group&transpose", "pid_dim": )" + pid_dim +
+         R"(, "shape": ")" + shape + R"(", "chunk": )" + chunk +
+         R"(, "reason": {"code": "none"}})";
+}
+
+void expect_rejected(const Program& prog, const std::string& decision,
+                     const char* needle) {
+  SCOPED_TRACE(decision);
+  try {
+    plan_from_json(plan_doc(decision), prog);
+    ADD_FAILURE() << "accepted";
+  } catch (const InternalError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(PlanJson, RejectsPidDimOutsideTheDatumsRank) {
+  Ctx c = analyze(kAllKindsSource);
+  // `a` has one dimension: both ends, and a value past int, which is
+  // clamped rather than truncated so it stays rejected.
+  expect_rejected(*c.prog, gt_decision("a", "2147483647", "interleaved", "8"),
+                  "pid_dim 2147483647");
+  expect_rejected(*c.prog, gt_decision("a", "1", "blocked", "8"),
+                  "outside the datum's 1 dimension");
+  expect_rejected(*c.prog, gt_decision("a", "-1", "blocked", "8"),
+                  "pid_dim -1");
+  expect_rejected(*c.prog,
+                  gt_decision("a", "1099511627776", "blocked", "8"),
+                  "pid_dim 2147483647");
+  // An array field's rank counts its field-array dimension: g.v has two.
+  auto indirection = [](const char* dim) {
+    return std::string(R"({"datum": "g.v", "kind": "indirection",
+        "pid_dim": )") + dim + R"(, "shape": "blocked", "chunk": 1,
+        "reason": {"code": "none"}})";
+  };
+  expect_rejected(*c.prog, indirection("2"),
+                  "indirection on 'g.v': pid_dim 2");
+  EXPECT_NO_THROW(plan_from_json(plan_doc(indirection("1")), *c.prog));
+
+  // The check also covers plans built in code, including a datum that
+  // names no symbol, and passes every planner-made plan.
+  TransformPlan plan;
+  TransformDecision bad;
+  bad.datum = {9999, -1};
+  bad.kind = TransformKind::kPadAlign;
+  plan.decisions.push_back(bad);
+  EXPECT_EQ(plan_parameter_errors(plan, *c.prog).size(), 1u);
+  EXPECT_TRUE(plan_parameter_errors(c.transforms, *c.prog).empty());
+}
+
+TEST(PlanJson, RejectsNonPositiveChunkWhereTheLayoutUsesIt) {
+  Ctx c = analyze(kAllKindsSource);
+  // A blocked partition divides by its chunk; an interleaved one never
+  // reads it.
+  expect_rejected(*c.prog, gt_decision("a", "0", "blocked", "0"),
+                  "chunk 0 must be positive");
+  expect_rejected(*c.prog, gt_decision("a", "0", "blocked", "-3"),
+                  "chunk -3 must be positive");
+  EXPECT_NO_THROW(plan_from_json(
+      plan_doc(gt_decision("a", "0", "interleaved", "0")), *c.prog));
+  // An intra-pad stride, on a datum or on the barrier.
+  expect_rejected(*c.prog, R"({"datum": "a", "kind": "intra-pad",
+      "chunk": 0, "reason": {"code": "none"}})",
+                  "intra-pad on 'a': chunk 0");
+  expect_rejected(*c.prog, R"({"datum": "<barrier>", "kind": "intra-pad",
+      "chunk": -64, "reason": {"code": "none"}})",
+                  "intra-pad on '<barrier>': chunk -64");
+
+  // An accepted blocked partition compiles.
+  CompileOptions o;
+  o.overrides = {{"NPROCS", 8}};
+  o.plan = std::make_shared<TransformPlan>(plan_from_json(
+      plan_doc(gt_decision("a", "0", "blocked", "8")), *c.prog));
+  EXPECT_NO_THROW(compile_source(kAllKindsSource, o));
+}
+
 // ---------------------------------------------------------------------------
 // plan_diff goldens
 // ---------------------------------------------------------------------------

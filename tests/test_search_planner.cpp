@@ -8,21 +8,31 @@
 // layout-relevant decisions.  Around it: the seed-dominance invariant
 // (never worse than the seed at any swept size, in both the exhaustive
 // and the beam regime), graceful degradation at budget 0, bit-identical
-// results across thread counts and repeated runs, the FSOPT_SEARCH_BUDGET
-// override, a property-fuzz pass over random budgets (FSOPT_FUZZ_ITERS
-// scales it), and the kFieldReorder path: planner emission, JSON
-// round-trip and plan re-injection producing identical miss tables.
+// results across replay and search thread counts and repeated runs (the
+// speculate/commit scoring, including a perfect candidate that ends a
+// round early), the FSOPT_SEARCH_BUDGET override, a property-fuzz pass
+// over random budgets (FSOPT_FUZZ_ITERS scales it), the seed score that
+// search_plan reuses from its repair loop, and the kFieldReorder path:
+// planner emission, JSON round-trip and plan re-injection producing
+// identical miss tables.
 #include "transform/search.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <random>
 
 #include "driver/experiment.h"
 #include "lang/sema.h"
 #include "support/json.h"
+#include "support/thread_pool.h"
+#include "workloads/workloads.h"
 
 namespace fsopt {
 namespace {
@@ -82,6 +92,29 @@ std::string key_of(const TransformPlan& p) {
   return key;
 }
 
+// Evaluations already made, keyed by key_of.  The search scores
+// candidates concurrently, so lookups and inserts take the lock; the
+// evaluation itself runs outside it.
+struct ScoreMemo {
+  std::mutex mu;
+  std::map<std::string, PlanScore> scores;
+
+  std::optional<PlanScore> find(const std::string& key) {
+    std::lock_guard<std::mutex> lk(mu);
+    auto it = scores.find(key);
+    if (it == scores.end()) return std::nullopt;
+    return it->second;
+  }
+  void put(const std::string& key, const PlanScore& s) {
+    std::lock_guard<std::mutex> lk(mu);
+    scores[key] = s;
+  }
+  void clear() {
+    std::lock_guard<std::mutex> lk(mu);
+    scores.clear();
+  }
+};
+
 // Real-replay harness: baseline compile, profiles distilled from an
 // attributed + conflict-collecting study, and a memoizing evaluator
 // (compile with the candidate plan injected, study the swept sizes).
@@ -97,9 +130,8 @@ struct SearchHarness {
   TransformPlan empty_base;
   std::vector<i64> blocks{32, 64, 128, 256};
   i64 target = 128;
-  int threads = 1;
-  std::shared_ptr<std::map<std::string, PlanScore>> memo =
-      std::make_shared<std::map<std::string, PlanScore>>();
+  int threads = 1;  // replay threads per evaluation
+  std::shared_ptr<ScoreMemo> memo = std::make_shared<ScoreMemo>();
 
   static SearchHarness make(const char* src, i64 nprocs) {
     SearchHarness h;
@@ -122,8 +154,8 @@ struct SearchHarness {
 
   PlanEvaluator evaluator() {
     return [this](const TransformPlan& p) {
-      auto it = memo->find(key_of(p));
-      if (it != memo->end()) return it->second;
+      std::string key = key_of(p);
+      if (std::optional<PlanScore> hit = memo->find(key)) return *hit;
       CompileOptions o = options;
       o.plan = std::make_shared<TransformPlan>(p);
       Compiled c = compile_source(source, o);
@@ -135,7 +167,7 @@ struct SearchHarness {
         s.cold_capacity[b] = st.at(b).cold + st.at(b).replacement;
       }
       s.footprint = c.layout.total_bytes();
-      (*memo)[key_of(p)] = s;
+      memo->put(key, s);
       return s;
     };
   }
@@ -319,24 +351,169 @@ TEST(SearchBudgetTest, EnvOverrideParsesAndIgnoresGarbage) {
 
 // ---------------------------------------------------------------------------
 // Determinism: identical plans, winners and frontier — byte for byte —
-// for any evaluator thread count and across repeated runs.
+// for any replay thread count, any number of candidates scored at once
+// (the speculate/commit rule), in both regimes, and across repeated runs.
+// Every run replays for real.
 // ---------------------------------------------------------------------------
 
 TEST(SearchDeterminism, BitIdenticalAcrossThreadsAndRuns) {
+  SearchBudget exhaustive;
+  exhaustive.max_replays = 500;
+  SearchBudget beam;
+  beam.max_replays = 9;
+  beam.beam_width = 2;
+  struct Run {
+    int replay_threads;
+    int search_threads;
+  };
+  for (const SearchBudget& budget : {exhaustive, beam}) {
+    const bool enumerates = budget.max_replays == exhaustive.max_replays;
+    SCOPED_TRACE(enumerates ? "exhaustive" : "beam");
+    std::vector<std::string> docs;
+    for (Run run : {Run{1, 1}, Run{4, 1}, Run{1, 2}, Run{1, 4}, Run{1, 1}}) {
+      SearchHarness h = SearchHarness::make(kTwoArrays, 4);
+      h.threads = run.replay_threads;
+      SearchPlanner planner(budget, h.blocks, h.evaluator(),
+                            run.search_threads);
+      SearchResult r = planner.search(h.inputs());
+      EXPECT_EQ(r.exhaustive, enumerates);
+      EXPECT_GT(r.evaluated.size(), 2u);
+      docs.push_back(search_result_to_json(r, *h.compiled.prog));
+    }
+    EXPECT_EQ(docs[0], docs[1]) << "replay threads 1 vs 4";
+    EXPECT_EQ(docs[0], docs[2]) << "search threads 1 vs 2";
+    EXPECT_EQ(docs[0], docs[3]) << "search threads 1 vs 4";
+    EXPECT_EQ(docs[0], docs[4]) << "repeated run";
+  }
+}
+
+// A perfect candidate (no false sharing, no loss) ends the search in the
+// middle of a beam round.  With several scorers the candidates admitted
+// after it may already be scored; those scores must be thrown away and
+// the counters rewound, so the result equals the one-at-a-time walk's.
+// The evaluator is hand-built: scores are a fixed function of the plan,
+// and the perfect plan's scoring waits until a later candidate has been
+// scored, so the discard path is sure to run when scorers run at once.
+TEST(SearchDeterminism, PerfectCandidateDiscardsLaterScores) {
+  SearchHarness h = SearchHarness::make(kTwoArrays, 4);
   SearchBudget budget;
-  budget.max_replays = 40;
+  budget.max_replays = 8;
+  budget.beam_width = 2;
+  PlannerInputs in = h.inputs();
+
+  // The first round's walk and admissions, in the search's (domain,
+  // move) order.
+  std::vector<std::string> walked, admitted;
+  for (const SearchDomain& d : SearchPlanner(budget, h.blocks, {}).domains(in))
+    for (const TransformDecision& m : d.moves) {
+      walked.push_back(key_of(apply_search_move(h.empty_base, m)));
+      if (walked.back() != key_of(h.empty_base) &&
+          std::find(admitted.begin(), admitted.end(), walked.back()) ==
+              admitted.end())
+        admitted.push_back(walked.back());
+    }
+  ASSERT_GE(admitted.size(), 4u);
+  const std::string perfect = admitted[1];
+  // The serial walk stops right after generating the perfect candidate:
+  // the seed plus every move walked up to and including it.
+  const u64 generated = 1 + static_cast<u64>(std::find(walked.begin(),
+                                                       walked.end(),
+                                                       perfect) -
+                                             walked.begin()) +
+                        1;
 
   std::vector<std::string> docs;
-  for (int threads : {1, 4, 1}) {
-    SearchHarness h = SearchHarness::make(kTwoArrays, 4);
-    h.threads = threads;
-    h.memo->clear();  // no cross-run reuse: every run replays for real
-    SearchPlanner planner(budget, h.blocks, h.evaluator());
-    SearchResult r = planner.search(h.inputs());
+  for (int threads : {1, 2, 4}) {
+    std::atomic<int> calls{0};
+    std::mutex mu;
+    std::condition_variable cv;
+    bool later_scored = false;
+    const bool concurrent = std::min(threads, shared_pool().size()) > 1;
+    PlanEvaluator fake = [&](const TransformPlan& p) {
+      ++calls;
+      std::string k = key_of(p);
+      auto at = std::find(admitted.begin(), admitted.end(), k);
+      if (at != admitted.end() && at - admitted.begin() > 1) {
+        std::lock_guard<std::mutex> lk(mu);
+        later_scored = true;
+        cv.notify_all();
+      }
+      if (k == perfect && concurrent) {
+        std::unique_lock<std::mutex> lk(mu);
+        cv.wait_for(lk, std::chrono::seconds(10),
+                    [&] { return later_scored; });
+      }
+      PlanScore s;
+      for (i64 b : h.blocks) {
+        s.fs[b] = k.empty() ? 100 : k == perfect ? 0 : 10 + k.size() % 7;
+        s.cold_capacity[b] = 5;
+      }
+      s.footprint = 4096;
+      return s;
+    };
+    SearchPlanner planner(budget, h.blocks, fake, threads);
+    SearchResult r = planner.search(in);
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    EXPECT_FALSE(r.exhaustive);
+    // Seed, the first admission, then the perfect one: nothing after.
+    ASSERT_EQ(r.evaluated.size(), 3u);
+    EXPECT_EQ(r.replays, 3u);
+    EXPECT_EQ(r.generated, generated);
+    EXPECT_EQ(key_of(r.best().plan), perfect);
+    EXPECT_EQ(r.best().fs_total, 0u);
+    if (concurrent) {
+      EXPECT_GT(calls.load(), 3) << "no later candidate was scored";
+    } else {
+      EXPECT_EQ(calls.load(), 3);
+    }
     docs.push_back(search_result_to_json(r, *h.compiled.prog));
   }
-  EXPECT_EQ(docs[0], docs[1]) << "threads=1 vs threads=4";
-  EXPECT_EQ(docs[0], docs[2]) << "repeated run";
+  EXPECT_EQ(docs[0], docs[1]);
+  EXPECT_EQ(docs[0], docs[2]);
+}
+
+// search_plan takes the seed's score from the repair loop's last sweep
+// instead of recording and replaying the seed again.  That score must
+// equal a fresh evaluation of the seed plan on every workload, and on a
+// repair loop that ends without an iteration (its baseline sweep is the
+// one reused): no workload's default loop does, so one runs with
+// max_iterations = 0.
+TEST(SearchSeedScore, ReusedScoreEqualsFreshEvaluation) {
+  const std::vector<i64> blocks{32, 64, 128, 256};
+  auto check = [&](const workloads::Workload& w, int max_iterations) {
+    SCOPED_TRACE(w.name + " max_iterations=" +
+                 std::to_string(max_iterations));
+    CompileOptions base;
+    base.overrides = w.sim_overrides;
+    base.overrides["NPROCS"] = w.fig3_procs;
+    SearchPlanOptions opt;
+    opt.seed.max_iterations = max_iterations;
+    opt.budget.max_replays = 0;  // the seed alone
+    SearchPlanResult sp = search_plan(w.natural, base, opt);
+    ASSERT_EQ(sp.search.replays, 1u);
+    if (max_iterations == 0) {
+      EXPECT_TRUE(sp.seed.iterations.empty());
+    }
+
+    CompileOptions fresh = base;
+    fresh.optimize = true;
+    fresh.block_size = opt.seed.block_size;
+    fresh.plan = std::make_shared<TransformPlan>(sp.seed.final_plan());
+    Compiled c = compile_source(w.natural, fresh);
+    TraceStudyResult st = run_trace_study(c, blocks, opt.seed.l1_bytes,
+                                          nullptr, 1, 0, false);
+    const PlanScore& reused = sp.search.evaluated[0].score;
+    for (i64 b : blocks) {
+      EXPECT_EQ(reused.fs.at(b), st.at(b).false_sharing) << "block " << b;
+      EXPECT_EQ(reused.cold_capacity.at(b),
+                st.at(b).cold + st.at(b).replacement)
+          << "block " << b;
+    }
+    EXPECT_EQ(reused.footprint, c.layout.total_bytes());
+  };
+  for (const workloads::Workload& w : workloads::all())
+    check(w, RepairLoopOptions{}.max_iterations);
+  check(workloads::all().front(), 0);
 }
 
 // ---------------------------------------------------------------------------

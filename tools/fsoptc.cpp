@@ -58,7 +58,8 @@
 //   --timings[=json]    per-pass compile metrics (pipeline pass times,
 //                       allocation traffic, domain counters); =json emits
 //                       the machine-readable form
-//   --threads N         worker threads for the miss-study replays
+//   --threads N         worker threads for the miss-study replays and the
+//                       search's candidate scoring
 //                       (default: FSOPT_THREADS env, else all cores)
 //   --trace-out PATH    write a Chrome trace of the whole run (passes,
 //                       pool jobs, replay shards) to PATH at exit; same
