@@ -1,34 +1,30 @@
-// Replay-throughput microbench: how fast does one cache configuration
-// chew through a recorded trace, and how does that scale across trace
-// shards?
+// Replay-throughput microbench: how fast do the replay engines chew
+// through a recorded trace?
 //
-// Four comparisons, all on the same replicated workload trace:
+// Three comparisons, all on the same replicated workload trace:
 //   1. flat-state simulator (sim/cache.h) vs. the pre-flattening
 //      hash-map baseline (baseline_cache.h), single thread;
 //   2. the same pair with per-datum attribution enabled (dense slots vs.
 //      the old string-keyed map on every reference);
-//   3. shard scaling: one configuration split across K trace shards
-//      (driver replay_partitioned), K = 1,2,4,8, with the reusable
-//      partitioning pass timed separately;
-//   4. compressed traces (trace/encode.h): encoded vs raw footprint and
+//   3. compressed traces (trace/encode.h): encoded vs raw footprint and
 //      decode throughput, then the block-size sweep run as N dedicated
 //      per-configuration passes vs one single-pass multi-plane walk
-//      (sim/multi.h).
+//      (sim/multi.h), plus its SIMD-kernel and pipelined-decode
+//      variants.
 // Every timed replay is cross-checked against the others — the bench
 // fails loudly if any pair of implementations disagrees on a single
 // counter.
 //
 // Extra flags (on top of the shared --threads/--json):
 //   --workload NAME   trace source (default fmm)
-//   --block N         block size for the shard-scaling sweep (default 64)
 //   --target-refs N   replicate the recorded trace to at least N refs
 //                     (default 4000000)
 //   --repeats N       best-of-N timing (default 3)
 //
 // The bench also audits the observability layer (src/obs/): it hard-fails
 // if replay stats differ with tracing on vs. off, or if the cost of the
-// *disabled* instrumentation on a sharded replay exceeds 2% of the replay
-// itself.
+// *disabled* instrumentation on a multi-plane sweep replay exceeds 2% of
+// the replay itself.
 #include <cmath>
 #include <cstdlib>
 #include <thread>
@@ -84,7 +80,6 @@ u32 fingerprint_stats(const std::vector<MissStats>& v) {
 int main(int argc, char** argv) {
   BenchOptions bo = parse_bench_args(argc, argv, /*allow_unknown=*/true);
   std::string workload = "fmm";
-  i64 scale_block = 64;
   u64 target_refs = 4'000'000;
   int repeats = 3;
   for (int i = 1; i < argc; ++i) {
@@ -99,8 +94,6 @@ int main(int argc, char** argv) {
     };
     if (a == "--workload") {
       workload = next();
-    } else if (a == "--block") {
-      scale_block = std::atoll(next());
     } else if (a == "--target-refs") {
       target_refs = static_cast<u64>(std::atoll(next()));
     } else if (a == "--repeats") {
@@ -108,7 +101,7 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: %s [--threads N] [--json PATH] [--workload NAME]"
-                   " [--block N] [--target-refs N] [--repeats N]\n",
+                   " [--target-refs N] [--repeats N]\n",
                    argv[0]);
       std::exit(2);
     }
@@ -135,25 +128,21 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(trace.size() / base.size()),
               repeats);
 
-  // Scaling numbers are only interpretable against the cores actually
-  // available: K shards on an N<K-core machine can at best tie the
-  // N-shard wall clock, so the efficiency metric below normalises by
-  // min(K, cpus).
   int cpus = std::max(1u, std::thread::hardware_concurrency());
 
   JsonReport json;
   json.add(workload, "refs", refs);
   json.add(workload, "cpus", static_cast<double>(cpus));
-  // The simd / pipeline / composed sections below are schedule-dependent:
+  // The simd / pipeline sections below are schedule-dependent:
   // their ratios only mean something next to the vector features and the
   // core count of the host that produced them.
   json.meta("cpu_features", simd::cpu_features());
   json.meta("cpus", static_cast<double>(cpus));
   if (cpus == 1)
     json.meta("note",
-              std::string("single-core host: pipeline and composed-shard "
-                          "speedups are exactness checks here; their "
-                          "parallel headroom needs >= 2 cores"));
+              std::string("single-core host: the pipeline speedup is an "
+                          "exactness check here; its parallel headroom "
+                          "needs >= 2 cores"));
 
   // --- 1+2: serial flat vs. hash, plain and attributed ----------------
   TextTable serial({"block", "hash", "flat", "speedup", "hash+attr",
@@ -220,63 +209,11 @@ int main(int argc, char** argv) {
   std::printf("--- serial: flat-state vs hash-map baseline ---\n%s\n",
               serial.render().c_str());
 
-  // --- 3: shard scaling at one block size ------------------------------
-  // The partition is a reusable record-once artifact (it depends only on
-  // block size and shard count), so it is timed separately from the
-  // parallel replay it feeds.
-  CacheParams sp{c.nprocs(), 32 * 1024, scale_block, c.code.total_bytes};
-  std::string sblk = std::to_string(scale_block);
-
-  MissStats serial_stats;
-  double t1 = best_of(repeats, [&] {
-    CacheSim sim(sp);
-    trace.replay(sim);
-    serial_stats = sim.stats();
-  });
-
-  TextTable scaling({"shards", "partition", "replay", "refs/s", "scaling",
-                     "efficiency"});
-  scaling.add_row({"1", "-", fixed(t1, 3) + "s", human(refs / t1), "1.00x",
-                   "1.00"});
-  json.add(workload, "shard1_refs_per_sec_b" + sblk, refs / t1);
-  for (int k : {2, 4, 8}) {
-    int eff = effective_shard_count(k, sp);
-    if (eff != k) {
-      std::printf("(skipping %d shards: clamped to %d for this config)\n",
-                  k, eff);
-      continue;
-    }
-    double t_part = 0;
-    TracePartition part;
-    t_part = time_once(
-        [&] { part = partition_trace(trace, scale_block, k); });
-    ShardedReplayResult r;
-    double t_replay = best_of(
-        repeats, [&] { r = replay_partitioned(part, sp, nullptr, k); });
-    if (r.stats != serial_stats)
-      mismatch("serial and sharded stats", scale_block);
-    std::string ks = std::to_string(k);
-    double speedup = t1 / t_replay;
-    double efficiency = speedup / std::min(k, cpus);
-    scaling.add_row({ks, fixed(t_part, 3) + "s", fixed(t_replay, 3) + "s",
-                     human(refs / t_replay), fixed(speedup, 2) + "x",
-                     fixed(efficiency, 2)});
-    json.add(workload, "shard" + ks + "_refs_per_sec_b" + sblk,
-             refs / t_replay);
-    json.add(workload, "shard" + ks + "_scaling_b" + sblk, speedup);
-    json.add(workload, "shard" + ks + "_efficiency_b" + sblk, efficiency);
-    json.add(workload, "partition_sec_shard" + ks + "_b" + sblk, t_part);
-  }
-  std::printf("--- shard scaling at block %s (replay phase, %d cpu%s) ---\n"
-              "%s\n",
-              sblk.c_str(), cpus, cpus == 1 ? "" : "s",
-              scaling.render().c_str());
-
   // Headline sweep ratio of the --workload trace, reused by the
   // cross-workload geomean below.
   double main_sweep_speedup = 0;
 
-  // --- 4: compressed trace + single-pass sweep -------------------------
+  // --- 3: compressed trace + single-pass sweep -------------------------
   // (a) codec: encoded footprint vs the raw 16B/ref buffer, encode cost,
   // and pure decode throughput (stream into a CountingSink, raw vs
   // encoded); (b) sweep: the legacy per-configuration loop — one full
@@ -350,7 +287,7 @@ int main(int argc, char** argv) {
     json.add(workload, "sweep_single_pass_speedup", sweep_speedup);
   }
 
-  // --- 4b: sweep speedup across the paper workload set -----------------
+  // --- 3b: sweep speedup across the paper workload set -----------------
   // One access mix should not decide the single-pass headline: an
   // invalidation-heavy trace (fmm's all-procs write traffic) bounds the
   // win by per-miss classification work that no shared walk can
@@ -412,7 +349,7 @@ int main(int argc, char** argv) {
                 sweeps.render().c_str());
   }
 
-  // --- 4d: simd engine path, forced-scalar vs runtime-dispatched -------
+  // --- 3c: simd engine path, forced-scalar vs runtime-dispatched -------
   // Cross-invocation timing drifts ~15% on shared hosts, so the scalar
   // baseline and the dispatched engine run in one process: the engine
   // snapshots the active kernel set at construction, and set_force_scalar
@@ -435,20 +372,10 @@ int main(int argc, char** argv) {
     double t_simd = best_of(repeats, [&] {
       m_simd = replay_multi(enc, params, nullptr, /*threads=*/1);
     });
-    simd::set_batch_vector(1);
-    MultiReplayResult m_batch;
-    double t_batch = best_of(repeats, [&] {
-      m_batch = replay_multi(enc, params, nullptr, /*threads=*/1);
-    });
-    simd::set_batch_vector(-1);
-    for (size_t i = 0; i < params.size(); ++i) {
+    for (size_t i = 0; i < params.size(); ++i)
       if (m_scalar.stats[i] != m_simd.stats[i])
         mismatch("forced-scalar and dispatched engine stats",
                  params[i].block_size);
-      if (m_scalar.stats[i] != m_batch.stats[i])
-        mismatch("forced-scalar and vector-batch engine stats",
-                 params[i].block_size);
-    }
 
     const double nwork = refs * static_cast<double>(params.size());
     std::printf("--- simd engine path (host: %s) ---\n",
@@ -460,12 +387,9 @@ int main(int argc, char** argv) {
                     " kernels",
                 fixed(t_simd, 3) + "s", human(nwork / t_simd),
                 fixed(t_scalar / t_simd, 2) + "x"});
-    st.add_row({"gather batch loop", fixed(t_batch, 3) + "s",
-                human(nwork / t_batch), fixed(t_scalar / t_batch, 2) + "x"});
     std::printf("%s\n", st.render().c_str());
     json.add(workload, "simd_scalar_sec", t_scalar);
     json.add(workload, "simd_active_sec", t_simd);
-    json.add(workload, "simd_batch_sec", t_batch);
     json.add(workload, "simd_speedup", t_scalar / t_simd);
     json.add(workload, "simd_level_active",
              static_cast<double>(static_cast<int>(simd::active_level())));
@@ -473,7 +397,7 @@ int main(int argc, char** argv) {
              static_cast<double>(fingerprint_stats(m_simd.stats)));
   }
 
-  // --- 4e: pipelined chunk decode --------------------------------------
+  // --- 3d: pipelined chunk decode --------------------------------------
   // replay_pipelined overlaps the varint decode of chunk N+1 with the
   // simulation of chunk N.  FSOPT_PIPELINE=1 forces the threaded path so
   // the hand-off (and its bit-identity) is exercised even on one core;
@@ -514,71 +438,7 @@ int main(int argc, char** argv) {
     json.add(workload, "pipeline_speedup", t_serial / t_pipe);
   }
 
-  // --- 4f: composed sharded x multi-configuration sweep ----------------
-  // replay_multi_partitioned: one region-granular partition, each shard
-  // simulating every plane of the sweep at once.  Hard-fails on any
-  // counter or attribution drift vs the serial single-pass walk — the
-  // composition is supposed to be exact, not approximate.  "vs serial"
-  // charges the partition to the composed run — a sweep that partitions
-  // once and replays once pays both — while "replay only" is the replay
-  // phase alone, the ratio a partition reused across many sweeps
-  // approaches.  Either needs >= 2 cores to exceed 1.0.
-  {
-    EncodedTrace enc = encode_trace(trace);
-    std::vector<CacheParams> params;
-    for (i64 b : paper_block_sizes())
-      params.push_back({c.nprocs(), 32 * 1024, b, c.code.total_bytes});
-
-    MultiReplayResult m_serial;
-    double t_serial = best_of(repeats, [&] {
-      m_serial = replay_multi(enc, params, nullptr, /*threads=*/1);
-    });
-
-    std::printf("--- composed sharded x multi-config sweep (%d cpu%s) ---\n",
-                cpus, cpus == 1 ? "" : "s");
-    TextTable ct({"shards", "partition", "replay", "refs/s", "vs serial",
-                  "replay only"});
-    ct.add_row({"1 (serial)", "-", fixed(t_serial, 3) + "s",
-                human(refs / t_serial), "1.00x", "1.00x"});
-    json.add(workload, "composed_serial_sec", t_serial);
-    const double nwork = refs * static_cast<double>(params.size());
-    for (int k : {2, 4, 8}) {
-      MultiShardPlan plan = multi_shard_plan(params, k);
-      if (plan.shards != k) {
-        std::printf("(skipping %d shards: plan clamps to %d for this"
-                    " plane set)\n",
-                    k, plan.shards);
-        continue;
-      }
-      MultiTracePartition part;
-      double t_part = time_once([&] {
-        part = partition_trace_multi(enc, plan.region_bytes, plan.shards);
-      });
-      MultiReplayResult m_comp;
-      double t_replay = best_of(repeats, [&] {
-        m_comp = replay_multi_partitioned(part, params, nullptr, k);
-      });
-      for (size_t i = 0; i < params.size(); ++i)
-        if (m_comp.stats[i] != m_serial.stats[i])
-          mismatch("serial and composed sharded sweep stats",
-                   params[i].block_size);
-      std::string ks = std::to_string(k);
-      const double vs_serial = t_serial / (t_part + t_replay);
-      ct.add_row({ks, fixed(t_part, 3) + "s", fixed(t_replay, 3) + "s",
-                  human(refs / t_replay), fixed(vs_serial, 2) + "x",
-                  fixed(t_serial / t_replay, 2) + "x"});
-      json.add(workload, "composed_shard" + ks + "_partition_sec", t_part);
-      json.add(workload, "composed_shard" + ks + "_sec", t_replay);
-      json.add(workload, "composed_shard" + ks + "_speedup", vs_serial);
-      json.add(workload, "composed_shard" + ks + "_replay_speedup",
-               t_serial / t_replay);
-      json.add(workload, "composed_shard" + ks + "_refs_per_sec",
-               nwork / t_replay);
-    }
-    std::printf("%s\n", ct.render().c_str());
-  }
-
-  // --- 4c: address-map lookup (the per-attributed-event hot path) ------
+  // --- 4: address-map lookup (the per-attributed-event hot path) ------
   // AddressMap::index_of runs once per cache event during attributed
   // replay.  add() flattens the (possibly overlapping) ranges into
   // disjoint segments so a lookup is one binary search; this section
@@ -633,30 +493,33 @@ int main(int argc, char** argv) {
 
   // --- 5: observability audit ------------------------------------------
   // (a) stats must be bit-identical with tracing on vs. off; (b) the
-  // disabled instrumentation reached during one sharded replay must cost
-  // < 2% of that replay.  Tracing state is restored afterwards, so a run
-  // under FSOPT_TRACE still dumps its trace at exit.
+  // disabled instrumentation reached during one multi-plane sweep replay
+  // (planes split among the harness threads) must cost < 2% of that
+  // replay.  Tracing state is restored afterwards, so a run under
+  // FSOPT_TRACE still dumps its trace at exit.
   {
     bool was_enabled = obs::enabled();
-    int audit_shards = effective_shard_count(4, sp);
-    TracePartition part = partition_trace(trace, scale_block, audit_shards);
+    EncodedTrace enc = encode_trace(trace);
+    std::vector<CacheParams> params;
+    for (i64 b : paper_block_sizes())
+      params.push_back({c.nprocs(), 32 * 1024, b, c.code.total_bytes});
+    const int audit_threads = experiment_threads();
 
     obs::set_enabled(true);
     obs::TraceData before = obs::collect();
-    ShardedReplayResult traced =
-        replay_partitioned(part, sp, nullptr, audit_shards);
+    MultiReplayResult traced =
+        replay_multi(enc, params, nullptr, audit_threads);
     obs::TraceData after = obs::collect();
     size_t events =
         (after.span_count() - before.span_count()) +
         (after.counter_count() - before.counter_count());
 
     obs::set_enabled(false);
-    ShardedReplayResult untraced =
-        replay_partitioned(part, sp, nullptr, audit_shards);
+    MultiReplayResult untraced;
     double t_replay = best_of(repeats, [&] {
-      untraced = replay_partitioned(part, sp, nullptr, audit_shards);
+      untraced = replay_multi(enc, params, nullptr, audit_threads);
     });
-    if (traced.stats != untraced.stats || traced.stats != serial_stats) {
+    if (traced.stats != untraced.stats || traced.stats != flat_by_block) {
       std::fprintf(stderr,
                    "bench_replay_throughput: replay stats differ with "
                    "tracing on vs off — tracing must not perturb results\n");
@@ -673,11 +536,12 @@ int main(int argc, char** argv) {
     double per_event = t_probe / kProbeSpans;
     double overhead = static_cast<double>(events) * per_event;
     double frac = overhead / t_replay;
-    std::printf("--- obs overhead audit (%d shards) ---\n"
+    std::printf("--- obs overhead audit (%zu planes, %d thread%s) ---\n"
                 "%zu events/replay x %.1fns disabled cost = %.3gus "
                 "(%.4f%% of %.3fs replay; budget 2%%)\n\n",
-                audit_shards, events, per_event * 1e9, overhead * 1e6,
-                100 * frac, t_replay);
+                params.size(), audit_threads, audit_threads == 1 ? "" : "s",
+                events, per_event * 1e9, overhead * 1e6, 100 * frac,
+                t_replay);
     if (frac >= 0.02) {
       std::fprintf(stderr,
                    "bench_replay_throughput: disabled tracing overhead "
@@ -685,7 +549,7 @@ int main(int argc, char** argv) {
                    100 * frac);
       std::exit(1);
     }
-    json.add(workload, "obs_events_per_sharded_replay",
+    json.add(workload, "obs_events_per_sweep_replay",
              static_cast<double>(events));
     json.add(workload, "obs_disabled_ns_per_event", per_event * 1e9);
     json.add(workload, "obs_disabled_overhead_frac", frac);

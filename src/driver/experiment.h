@@ -3,13 +3,11 @@
 // The pipeline is record-once / replay-many: one interpreter run records
 // the reference stream into a TraceBuffer; every cache configuration
 // (block size) then replays that recorded trace into its own simulator.
-// Replays are independent, so they fan out across a thread pool — as do
-// the compile+run timing jobs of a processor-count sweep.  On top of the
-// cross-configuration fan-out, each configuration's replay can itself be
-// split into trace shards (trace/shard.h) that replay concurrently; the
-// two levels share one thread budget.  Each job owns its simulator and
-// writes into its own result slot, and slots are merged in a fixed order,
-// so results are bit-identical for any thread count and any shard count.
+// All block sizes are simulated in one pass over the trace (sim/multi.h),
+// with the configuration planes divided among the pool's workers; the
+// compile+run timing jobs of a processor-count sweep fan out the same
+// way.  Each job owns its simulator and writes into its own result slot,
+// so results are bit-identical for any thread count.
 #pragma once
 
 #include <map>
@@ -21,7 +19,6 @@
 #include "sim/multi.h"
 #include "support/thread_pool.h"
 #include "trace/encode.h"
-#include "trace/shard.h"
 #include "transform/planner.h"
 #include "transform/search.h"
 
@@ -66,45 +63,33 @@ TraceBuffer record_trace(const Compiled& c);
 /// stream never exists in memory (~3-5x smaller resident trace).
 EncodedTrace record_encoded_trace(const Compiled& c);
 
-/// Replay a recorded trace against each block size, fanning the replays
-/// across `threads` workers (0 = the experiment_threads() knob).  `c`
-/// only supplies nprocs/total_bytes.
-///
-/// `shards` splits *each* configuration's replay into that many
-/// concurrent trace shards (trace/shard.h) on top of the cross-config
-/// fan-out; the per-config count is clamped with effective_shard_count.
-/// 1 disables sharding; 0 (auto) spends whatever of the thread budget the
-/// cross-config fan-out leaves idle, and skips sharding for small traces
-/// where partitioning would cost more than it buys.  Results are
-/// bit-identical for every thread and shard count.
-/// When no sharding applies (the common sweep shape), the block sizes
-/// are simulated in a single pass over the trace (sim/multi.h) with the
-/// planes divided among the workers; with sharding, each configuration
-/// partitions and replays as before.  Either way the results are
-/// bit-identical to independent per-configuration replays.
+/// Replay a recorded trace against each block size.  `c` only supplies
+/// nprocs/total_bytes.  The block sizes are simulated in a single pass
+/// over the trace (replay_multi, sim/multi.h), their planes divided
+/// among up to `threads` workers (0 = the experiment_threads() knob).
+/// Results are bit-identical to independent per-configuration CacheSim
+/// replays for every thread count.
 ///
 /// `collect_conflicts` additionally accumulates each block size's
 /// word-granularity false-sharing conflict graph (TraceStudyResult::
-/// conflicts).  Collection routes the study through the unsharded
-/// single-pass replay (each plane simulated exactly once) and changes
-/// no statistic — stats stay bit-identical to a non-collecting study.
+/// conflicts).  Collection changes no statistic — stats stay
+/// bit-identical to a non-collecting study.
 TraceStudyResult replay_trace_study(const TraceBuffer& trace,
                                     const Compiled& c,
                                     const std::vector<i64>& block_sizes,
                                     i64 l1_bytes = 32 * 1024,
                                     const AddressMap* attribution = nullptr,
-                                    int threads = 0, int shards = 0,
+                                    int threads = 0,
                                     bool collect_conflicts = false);
 
-/// Same study from a compressed trace: the single-pass path decodes
-/// chunk by chunk (never materializing the raw stream), and the sharded
-/// path partitions straight from the encoded chunks.
+/// Same study from a compressed trace, decoded chunk by chunk (the raw
+/// stream is never materialized).
 TraceStudyResult replay_trace_study(const EncodedTrace& trace,
                                     const Compiled& c,
                                     const std::vector<i64>& block_sizes,
                                     i64 l1_bytes = 32 * 1024,
                                     const AddressMap* attribution = nullptr,
-                                    int threads = 0, int shards = 0,
+                                    int threads = 0,
                                     bool collect_conflicts = false);
 
 /// record_encoded_trace + replay_trace_study: the interpreter executes
@@ -114,40 +99,8 @@ TraceStudyResult run_trace_study(const Compiled& c,
                                  const std::vector<i64>& block_sizes,
                                  i64 l1_bytes = 32 * 1024,
                                  const AddressMap* attribution = nullptr,
-                                 int threads = 0, int shards = 0,
+                                 int threads = 0,
                                  bool collect_conflicts = false);
-
-/// Result of one sharded single-configuration replay.
-struct ShardedReplayResult {
-  MissStats stats;
-  /// Per-datum attribution (empty unless an AddressMap was supplied).
-  std::map<std::string, MissStats> by_datum;
-  /// The shard count actually used (effective_shard_count of the request).
-  int shards = 1;
-};
-
-/// Replay one cache configuration across `shards` concurrent trace
-/// shards (clamped by effective_shard_count; 1 replays serially without
-/// partitioning).  Bit-identical to an unsharded CacheSim replay for
-/// every shard count — the shard-determinism ctest enforces this.
-ShardedReplayResult replay_trace_sharded(const TraceBuffer& trace,
-                                         const CacheParams& params,
-                                         int shards,
-                                         const AddressMap* attribution =
-                                             nullptr,
-                                         int threads = 0);
-
-/// Replay an already-partitioned trace (partition_trace).  The partition
-/// depends only on (block size, shard count), so it can be built once and
-/// replayed many times — e.g. against different associativities, or
-/// repeatedly in the throughput microbench.  `params` must agree with the
-/// partition's block size, and the partition's shard count must be valid
-/// for `params` (effective_shard_count).
-ShardedReplayResult replay_partitioned(const TracePartition& part,
-                                       const CacheParams& params,
-                                       const AddressMap* attribution =
-                                           nullptr,
-                                       int threads = 0);
 
 // ---------------------------------------------------------------------------
 // The detect -> transform -> verify repair loop.

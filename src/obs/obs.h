@@ -2,7 +2,7 @@
 //
 // The compile pipeline got per-pass metering in driver/pipeline.h; this
 // module gives the *runtime* side — thread-pool job execution, trace
-// recording, shard-parallel replay, matrix compiles — the same
+// recording, multi-plane replay, matrix compiles — the same
 // visibility.  Every instrumented site creates an RAII Span (or emits a
 // named counter); events land in per-thread buffers and are exported as
 // Chrome trace-event JSON (obs/trace_writer.h) loadable in Perfetto /
@@ -18,7 +18,7 @@
 //      constructed members — no clock read, no allocation, no lock.
 //      bench_replay_throughput hard-fails if the disabled instrumentation
 //      cost on a replay exceeds 2% of the replay itself.
-//   3. Cheap enough when enabled.  Instrumentation sits at job/shard/pass
+//   3. Cheap enough when enabled.  Instrumentation sits at job/replay/pass
 //      granularity, never per memory reference.  Each thread appends to
 //      its own buffer under its own (uncontended) mutex, so enabling
 //      tracing adds no cross-thread cache traffic inside timed regions.
@@ -135,7 +135,7 @@ void counter(const char* name, double value);
 /// event into the calling thread's buffer.  When tracing is disabled the
 /// whole object is inert: no clock read, no allocation.
 ///
-///   obs::Span span("replay", "shard");
+///   obs::Span span("replay", "multi");
 ///   ... work ...
 ///   if (span.active()) span.arg("refs", n);
 class Span {

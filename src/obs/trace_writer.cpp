@@ -116,14 +116,6 @@ TraceSummary summarize(const TraceData& data) {
         out.slowest_pass_seconds = sec;
         out.slowest_pass = s.name;
       }
-      if (std::string_view(s.category) == "replay" && s.name == "shard" &&
-          sec > out.slowest_shard_seconds) {
-        out.slowest_shard_seconds = sec;
-        out.slowest_shard = -1;
-        for (const Arg& a : s.args)
-          if (!a.is_str && a.key == "shard")
-            out.slowest_shard = static_cast<int>(a.num);
-      }
     }
   }
   if (max_end >= min_start && max_end != 0)
@@ -170,11 +162,6 @@ std::string render_summary(const TraceData& data) {
   if (!s.slowest_pass.empty()) {
     std::snprintf(buf, sizeof(buf), "slowest pass: %s (%.3fms)\n",
                   s.slowest_pass.c_str(), s.slowest_pass_seconds * 1e3);
-    out += buf;
-  }
-  if (s.slowest_shard_seconds > 0.0) {
-    std::snprintf(buf, sizeof(buf), "slowest replay shard: #%d (%.3fms)\n",
-                  s.slowest_shard, s.slowest_shard_seconds * 1e3);
     out += buf;
   }
   return out;

@@ -6,8 +6,8 @@
 // event per recorded span/counter — load the file in Perfetto or
 // chrome://tracing.  The summary aggregates the same data for a
 // terminal: per-(category, name) count/total/max, pool utilization
-// (busy ÷ workers × wall), the slowest pass and the slowest replay
-// shard.  Serialization rides on support/json.h.
+// (busy ÷ workers × wall) and the slowest pass.  Serialization rides on
+// support/json.h.
 #pragma once
 
 #include <string>
@@ -42,12 +42,9 @@ struct TraceSummary {
   /// busy / (workers * wall); 0 when no pool activity was recorded.
   double pool_utilization() const;
 
-  /// Largest "pass" span and largest "replay"/"shard" span (empty name
-  /// when none was recorded).
+  /// Largest "pass" span (empty name when none was recorded).
   std::string slowest_pass;
   double slowest_pass_seconds = 0.0;
-  double slowest_shard_seconds = 0.0;
-  int slowest_shard = -1;  // the span's "shard" arg, -1 if absent
 };
 
 TraceSummary summarize(const TraceData& data);

@@ -29,7 +29,7 @@ struct AddrRange {
 /// it runs once per attributed cache event, which replay makes a hot
 /// path (see the address-map section of bench_replay_throughput).  The
 /// index is rebuilt eagerly on every add() precisely so that a finished
-/// map is immutable and safely shared by concurrent replay shards.
+/// map is immutable and safely shared by concurrent replays.
 class AddressMap {
  public:
   void add(i64 lo, i64 hi, std::string name);

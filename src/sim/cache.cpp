@@ -15,11 +15,6 @@ void MissStats::merge(const MissStats& other) {
   invalidations += other.invalidations;
 }
 
-void merge_by_datum(std::map<std::string, MissStats>& into,
-                    const std::map<std::string, MissStats>& from) {
-  for (const auto& [name, stats] : from) into[name].merge(stats);
-}
-
 std::map<std::string, MissStats> materialize_by_datum(
     const AddressMap& map, const std::vector<MissStats>& dense) {
   static const std::string kOther = "<other>";
@@ -33,49 +28,25 @@ std::map<std::string, MissStats> materialize_by_datum(
   return out;
 }
 
-i64 CoherentCache::set_count(const CacheParams& p) {
-  return p.cache_bytes / p.block_size / std::max<i64>(p.associativity, 1);
-}
-
-int effective_shard_count(int requested, const CacheParams& p) {
-  i64 sets = CoherentCache::set_count(p);
-  if (requested < 1) requested = 1;
-  if (requested > sets) requested = static_cast<int>(sets);
-  while (requested > 1 && sets % requested != 0) --requested;
-  return requested;
-}
-
-CoherentCache::CoherentCache(const CacheParams& p, ShardSpec shard)
+CoherentCache::CoherentCache(const CacheParams& p)
     : params_(p),
-      shard_(shard),
-      sets_(set_count(p) / std::max(shard.count, 1)),
+      sets_(p.cache_bytes / p.block_size / std::max<i64>(p.associativity, 1)),
       block_shift_(pow2_shift(p.block_size)),
-      shard_shift_(pow2_shift(shard.count)),
       set_mask_(is_pow2(sets_) ? sets_ - 1 : -1),
       blocks_total_(
           (std::max(p.total_bytes, p.block_size) + p.block_size - 1) /
           p.block_size),
       total_span_(blocks_total_ * p.block_size),
-      classifier_(p.nprocs, p.block_size, p.total_bytes, shard) {
+      classifier_(p.nprocs, p.block_size, p.total_bytes) {
   FSOPT_CHECK(params_.associativity >= 1, "associativity must be >= 1");
-  FSOPT_CHECK(shard_.count >= 1 && shard_.index >= 0 &&
-                  shard_.index < shard_.count,
-              "bad shard spec");
-  FSOPT_CHECK(set_count(p) % shard_.count == 0,
-              "shard count must divide the set count"
-              " (use effective_shard_count)");
-  FSOPT_CHECK(sets_ > 0, "cache must hold at least one set per shard");
+  FSOPT_CHECK(sets_ > 0, "cache must hold at least one set");
   FSOPT_CHECK(p.nprocs >= 1 && p.nprocs <= 64, "1..64 processors");
   FSOPT_CHECK(blocks_total_ < (i64{1} << 31),
               "address space too large: block numbers must fit 32 bits"
               " (Line::block is packed)");
   lines_.assign(static_cast<size_t>(p.nprocs * sets_ * p.associativity),
                 Line{});
-  i64 local_blocks =
-      shard_.index < blocks_total_
-          ? (blocks_total_ - shard_.index + shard_.count - 1) / shard_.count
-          : 0;
-  dir_.assign(static_cast<size_t>(local_blocks), DirEntry{});
+  dir_.assign(static_cast<size_t>(blocks_total_), DirEntry{});
   if (p.word_invalidate) classifier_.enable_word_tracking();
 }
 

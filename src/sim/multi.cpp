@@ -1,20 +1,12 @@
 #include "sim/multi.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
-#include <limits>
 #include <cstdint>
-#include <type_traits>
 
 #include "obs/obs.h"
 #include "support/simd.h"
 #include "support/thread_pool.h"
-
-#if defined(__x86_64__) && defined(__GNUC__)
-#include <immintrin.h>
-#define FSOPT_MULTI_AVX2 1
-#endif
 
 namespace fsopt {
 
@@ -22,8 +14,6 @@ namespace {
 
 constexpr int kWBits = 7;     // writer bits in a packed word version
 constexpr u64 kWMask = 127;
-
-bool is_pow2(i64 x) { return x > 0 && (x & (x - 1)) == 0; }
 
 /// Can the shared bitmask engine express this configuration?  It models
 /// exactly CoherentCache with one way per set (no LRU order to track),
@@ -98,16 +88,10 @@ bool plane_shareable(const CacheParams& p) {
 /// loads L1-resident); larger machines use u64.  The owning
 /// MultiCacheSim sees only this interface.
 ///
-/// SIMD enters in two places, both behind support/simd.h's runtime
-/// dispatch (FSOPT_SIMD=0 forces the scalar kernels): the per-miss
-/// extent scans (snapshot max, granule version resolve) call the
-/// dispatched kernels, and on AVX2 hosts the u16-mask engine swaps its
-/// whole batch loop for a vectorized one that tests one reference's
-/// residency across 8 plane lanes per vector — reads gather the
-/// per-plane directory words; writes and miss lanes fall back to
-/// scalar helpers with bodies identical to the scalar loop.  Every
-/// path produces bit-identical counters; the differential tests and
-/// the bench's fingerprint section enforce it.
+/// SIMD enters through support/simd.h's runtime dispatch (FSOPT_SIMD=0
+/// forces the scalar kernels): the per-miss extent scans (snapshot max,
+/// granule version resolve) call the dispatched kernels, which return
+/// bit-identical results to their scalar twins.
 struct MultiCacheSim::SharedPlanes {
   virtual ~SharedPlanes() = default;
   /// Process one batch and fold the tallies into the stats rows.
@@ -180,19 +164,9 @@ struct Engine final : MultiCacheSim::SharedPlanes {
   }
 
   // Kernel set snapshotted at construction (simd.h runtime dispatch):
-  // the per-miss extent scans call through it, and use_avx2_ selects
-  // the vectorized batch loop for the u16-mask engine.  Snapshotting
-  // means one engine never mixes levels mid-replay.
+  // the per-miss extent scans call through it.  Snapshotting means one
+  // engine never mixes levels mid-replay.
   simd::Kernels kern_{};
-  bool use_avx2_ = false;
-  int P8 = 0;  // P rounded up to a whole 8-lane group
-  // Per-plane lane tables for the vector loop, padded to P8: block
-  // shift, directory slab offset, an all-ones/zero lane validity mask,
-  // and the batch hit tally the epilogue folds into cnt_.
-  std::vector<i32> vshift_;
-  std::vector<i32> voff_;
-  std::vector<i32> vvalid_;
-  std::vector<u32> vhit_;
 
   /// Pre-reference state of the referenced words, shared by every
   /// plane's classification of the current reference (the referenced
@@ -229,8 +203,6 @@ struct Engine final : MultiCacheSim::SharedPlanes {
                  const AddressMap* amap) override {
     if (amap != nullptr)
       process_batch<true>(refs, n, amap);
-    else if (use_avx2_)
-      run_batch_avx2(refs, n);
     else
       process_batch<false>(refs, n, nullptr);
     flush_counts();
@@ -238,31 +210,8 @@ struct Engine final : MultiCacheSim::SharedPlanes {
 
   template <bool kAttr>
   void process_batch(const MemRef* refs, size_t n, const AddressMap* amap);
-  void run_batch_avx2(const MemRef* refs, size_t n);
   MissKind miss_part(const Geom& g, int proc, MaskT bit, i64 block, i64 addr,
                      i64 size, bool is_write, int* inv_out);
-
-  // Single-plane pieces of the per-reference loop, called by the
-  // vector batch loop for the lanes its fast path cannot retire (plane
-  // misses, block-spanning references, every write).  Their bodies
-  // mirror the corresponding branches of process_batch exactly — the
-  // differential tests and the bench fingerprint hold the two paths
-  // bit-identical.
-  // begin_ref and note_ref_words run once per reference on the vector
-  // path too — always_inline folds them into the batch loop (the
-  // compiler may legally inline them there since they use no vector
-  // features themselves, but left to its own cost model it emits
-  // calls).
-  __attribute__((always_inline)) inline void begin_ref(i64 addr, i64 size,
-                                                       int proc, i64 w0,
-                                                       i64 w1);
-  void plane_read(int p, i64 b0, i64 b1, i64 addr, i64 size, int proc,
-                  MaskT bit);
-  void plane_write(int p, i64 b0, i64 b1, i64 addr, i64 size, int proc,
-                   MaskT bit);
-  __attribute__((always_inline)) inline void note_ref_words(int proc, i64 w0,
-                                                            i64 w1,
-                                                            bool is_write);
 
   /// Fold the dense batch tallies into the MissStats rows and reset.
   void flush_counts() {
@@ -473,263 +422,6 @@ void Engine<MaskT>::process_batch(const MemRef* refs, size_t n,
 }
 
 template <typename MaskT>
-void Engine<MaskT>::begin_ref(i64 addr, i64 size, int proc, i64 w0, i64 w1) {
-  FSOPT_CHECK(addr >= 0 && size > 0 && addr + size <= total_span,
-              "reference outside the simulated address space — "
-              "total_bytes does not cover the workload");
-  FSOPT_CHECK(proc >= 0 && proc < nprocs,
-              "reference processor outside the simulated machine");
-  ++n_;
-  FSOPT_CHECK(n_ <= 0xffffffffULL, "trace too long for 32-bit counters");
-  FSOPT_CHECK(w1 - w0 < 4, "reference spans too many words");
-  cur_w0_ = w0;
-  cur_w1_ = w1;
-  rc_ready_ = false;
-  __builtin_prefetch(&last_[static_cast<size_t>(proc) * W +
-                            static_cast<size_t>(w0)], 1);
-  __builtin_prefetch(&vers_[static_cast<size_t>(w0)], 1);
-  __builtin_prefetch(&lastg_[static_cast<size_t>(proc) * G +
-                             static_cast<size_t>(w0 >> 4)], 1);
-}
-
-template <typename MaskT>
-void Engine<MaskT>::plane_read(int p, i64 b0, i64 b1, i64 addr, i64 size,
-                               int proc, MaskT bit) {
-  const Geom& g = geom_[static_cast<size_t>(p)];
-  PlaneCnt& c = cnt_[static_cast<size_t>(p)];
-  MaskT* sharers = sharers_.data();
-  if (b0 == b1) {
-    if ((sharers[g.off + static_cast<size_t>(b0)] & bit) != 0) {
-      ++c.kind[0];
-    } else {
-      int inv = 0;
-      MissKind k = miss_part(g, proc, bit, b0, addr, size, false, &inv);
-      ++c.kind[static_cast<size_t>(k)];
-    }
-    return;
-  }
-  FSOPT_CHECK(b1 - b0 < 4, "reference spans too many blocks");
-  int sev = 0;
-  MissKind kind = MissKind::kHit;
-  for (i64 b = b0; b <= b1; ++b) {
-    const i64 lo = std::max(addr, b << g.bshift);
-    const i64 hi = std::min(addr + size, (b + 1) << g.bshift);
-    MissKind k = MissKind::kHit;
-    if ((sharers[g.off + static_cast<size_t>(b)] & bit) == 0) {
-      int inv = 0;
-      k = miss_part(g, proc, bit, b, lo, hi - lo, false, &inv);
-    }
-    const int s2 = split_kind_severity(k);
-    if (s2 > sev) {
-      sev = s2;
-      kind = k;
-    }
-  }
-  ++c.kind[static_cast<size_t>(kind)];
-}
-
-template <typename MaskT>
-void Engine<MaskT>::plane_write(int p, i64 b0, i64 b1, i64 addr, i64 size,
-                                int proc, MaskT bit) {
-  const Geom& g = geom_[static_cast<size_t>(p)];
-  PlaneCnt& c = cnt_[static_cast<size_t>(p)];
-  MaskT* sharers = sharers_.data();
-  std::int8_t* owner = owner_.data();
-  if (b0 == b1) {
-    const size_t bi = g.off + static_cast<size_t>(b0);
-    const MaskT sh = sharers[bi];
-    if ((sh & bit) != 0) {
-      const u64 up = owner[bi] != proc ? 1 : 0;
-      const u64 inv =
-          static_cast<u64>(std::popcount(static_cast<MaskT>(sh & ~bit)));
-      sharers[bi] = bit;
-      owner[bi] = static_cast<std::int8_t>(proc);
-      ++c.kind[0];
-      c.upgrades += up;
-      c.invalidations += inv;
-    } else {
-      int inv = 0;
-      MissKind k = miss_part(g, proc, bit, b0, addr, size, true, &inv);
-      ++c.kind[static_cast<size_t>(k)];
-      c.invalidations += static_cast<u64>(inv);
-    }
-    return;
-  }
-  FSOPT_CHECK(b1 - b0 < 4, "reference spans too many blocks");
-  int sev = 0;
-  MissKind kind = MissKind::kHit;
-  u64 upg = 0;
-  u64 invt = 0;
-  for (i64 b = b0; b <= b1; ++b) {
-    const i64 lo = std::max(addr, b << g.bshift);
-    const i64 hi = std::min(addr + size, (b + 1) << g.bshift);
-    const size_t bi = g.off + static_cast<size_t>(b);
-    const MaskT sh = sharers[bi];
-    MissKind k = MissKind::kHit;
-    if ((sh & bit) != 0) {
-      upg |= owner[bi] != proc ? 1 : 0;
-      invt += static_cast<u64>(std::popcount(static_cast<MaskT>(sh & ~bit)));
-      sharers[bi] = bit;
-      owner[bi] = static_cast<std::int8_t>(proc);
-    } else {
-      int inv = 0;
-      k = miss_part(g, proc, bit, b, lo, hi - lo, true, &inv);
-      invt += static_cast<u64>(inv);
-    }
-    const int s2 = split_kind_severity(k);
-    if (s2 > sev) {
-      sev = s2;
-      kind = k;
-    }
-  }
-  ++c.kind[static_cast<size_t>(kind)];
-  c.upgrades += upg;
-  c.invalidations += invt;
-}
-
-template <typename MaskT>
-void Engine<MaskT>::note_ref_words(int proc, i64 w0, i64 w1, bool is_write) {
-  u32* lrow = last_.data() + static_cast<size_t>(proc) * W;
-  u32* lgrow = lastg_.data() + static_cast<size_t>(proc) * G;
-  const u32 n32 = static_cast<u32>(n_);
-  for (i64 w = w0; w <= w1; ++w) lrow[w] = n32;
-  lgrow[w0 >> 4] = n32;
-  lgrow[w1 >> 4] = n32;
-  if (is_write) {
-    const u64 v = (n_ << kWBits) | static_cast<u64>(proc);
-    for (i64 w = w0; w <= w1; ++w) vers_[static_cast<size_t>(w)] = v;
-    const i64 g0 = w0 >> 4;
-    const i64 g1 = w1 >> 4;
-    for (i64 g = g0;; g = g1) {
-      const u64 old = versgw_[static_cast<size_t>(g)];
-      if ((old & kWMask) != static_cast<u64>(proc))
-        versg2_[static_cast<size_t>(g)] = static_cast<u32>(old >> kWBits);
-      versgw_[static_cast<size_t>(g)] = v;
-      if (g == g1) break;
-    }
-  }
-}
-
-#if defined(FSOPT_MULTI_AVX2)
-
-/// The AVX2 batch loop of the u16-mask engine: 8 plane lanes per
-/// vector, kChunks such 8-lane groups covering P planes (use_avx2_
-/// caps P at 32).  Per read it evaluates the block shifts, the
-/// single-block test and the gathered directory hit test across all
-/// lanes at once, tallies hit lanes into per-chunk register
-/// accumulators, and drops only miss/split lanes into the scalar
-/// per-plane helpers — whose bodies mirror the scalar loop, so both
-/// paths classify every outcome identically.  Writes mutate per-plane
-/// directory state (three scattered stores on the resident path) and
-/// run the scalar helper for every plane.  The chunk count is a
-/// template parameter so the lane tables (shift, directory offset,
-/// valid mask) and the hit accumulators live in registers for the
-/// whole batch in the common single-chunk case.  Padding lanes
-/// (p >= P) are excluded by the valid mask and their gather indices
-/// forced to 0 (in bounds: sharers_ carries two padding elements for
-/// the 4-byte gather of the last u16).
-template <int kChunks>
-__attribute__((target("avx2")))
-void engine_batch_avx2_impl(Engine<std::uint16_t>& e, const MemRef* refs,
-                            size_t n) {
-  using MaskT = std::uint16_t;
-  const MaskT* sharers = e.sharers_.data();
-  const int* sharers32 = reinterpret_cast<const int*>(sharers);
-  const __m256i vzero = _mm256_setzero_si256();
-  const __m256i vlow16 = _mm256_set1_epi32(0xFFFF);
-  __m256i vshift[kChunks], voff[kChunks], vvalid[kChunks], vhit[kChunks];
-  for (int c = 0; c < kChunks; ++c) {
-    vshift[c] = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(e.vshift_.data() + 8 * c));
-    voff[c] = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(e.voff_.data() + 8 * c));
-    vvalid[c] = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(e.vvalid_.data() + 8 * c));
-    vhit[c] = vzero;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    const MemRef& r = refs[i];
-    const i64 addr = r.addr;
-    const i64 size = r.size;
-    const int proc = r.proc;
-    const bool is_write = r.type == RefType::kWrite;
-    const MaskT bit = static_cast<MaskT>(MaskT{1} << proc);
-    const i64 end = addr + size - 1;
-    e.begin_ref(addr, size, proc, addr >> 2, end >> 2);
-    if (!is_write) {
-      const __m256i vaddr = _mm256_set1_epi32(static_cast<int>(addr));
-      const __m256i vend = _mm256_set1_epi32(static_cast<int>(end));
-      const __m256i vbit = _mm256_set1_epi32(1 << proc);
-      for (int c = 0; c < kChunks; ++c) {
-        const __m256i vb0 = _mm256_srlv_epi32(vaddr, vshift[c]);
-        const __m256i vb1 = _mm256_srlv_epi32(vend, vshift[c]);
-        const __m256i vsingle = _mm256_cmpeq_epi32(vb0, vb1);
-        const __m256i idx = _mm256_and_si256(
-            _mm256_add_epi32(voff[c], vb0), vvalid[c]);
-        const __m256i sh = _mm256_and_si256(
-            _mm256_i32gather_epi32(sharers32, idx, 2), vlow16);
-        const __m256i nobit =
-            _mm256_cmpeq_epi32(_mm256_and_si256(sh, vbit), vzero);
-        const __m256i vdirhit = _mm256_and_si256(
-            _mm256_andnot_si256(nobit, vsingle), vvalid[c]);
-        u32 slow = static_cast<u32>(_mm256_movemask_ps(_mm256_castsi256_ps(
-            _mm256_andnot_si256(vdirhit, vvalid[c]))));
-        vhit[c] = _mm256_sub_epi32(vhit[c], vdirhit);
-        while (slow != 0) {
-          const int p = std::countr_zero(slow) + 8 * c;
-          slow &= slow - 1;
-          const auto& g = e.geom_[static_cast<size_t>(p)];
-          e.plane_read(p, addr >> g.bshift, end >> g.bshift, addr, size,
-                       proc, bit);
-        }
-      }
-    } else {
-      for (int p = 0; p < e.P; ++p) {
-        const auto& g = e.geom_[static_cast<size_t>(p)];
-        e.plane_write(p, addr >> g.bshift, end >> g.bshift, addr, size,
-                      proc, bit);
-      }
-    }
-    e.note_ref_words(proc, e.cur_w0_, e.cur_w1_, is_write);
-  }
-  // Fold the register hit tallies into the per-plane counters.
-  for (int c = 0; c < kChunks; ++c)
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(e.vhit_.data() + 8 * c),
-                        vhit[c]);
-  for (int p = 0; p < e.P; ++p) {
-    e.cnt_[static_cast<size_t>(p)].kind[0] += e.vhit_[static_cast<size_t>(p)];
-    e.vhit_[static_cast<size_t>(p)] = 0;
-  }
-}
-
-void engine_batch_avx2(Engine<std::uint16_t>& e, const MemRef* refs,
-                       size_t n) {
-  switch (e.P8 / 8) {
-    case 1: engine_batch_avx2_impl<1>(e, refs, n); return;
-    case 2: engine_batch_avx2_impl<2>(e, refs, n); return;
-    case 3: engine_batch_avx2_impl<3>(e, refs, n); return;
-    case 4: engine_batch_avx2_impl<4>(e, refs, n); return;
-    default: break;
-  }
-  FSOPT_CHECK(false, "AVX2 batch loop selected for too many planes");
-}
-
-#endif  // FSOPT_MULTI_AVX2
-
-template <typename MaskT>
-void Engine<MaskT>::run_batch_avx2(const MemRef* refs, size_t n) {
-#if defined(FSOPT_MULTI_AVX2)
-  if constexpr (std::is_same_v<MaskT, std::uint16_t>) {
-    engine_batch_avx2(*this, refs, n);
-    return;
-  }
-#endif
-  (void)refs;
-  (void)n;
-  FSOPT_CHECK(false, "AVX2 batch loop selected without support");
-}
-
-template <typename MaskT>
 MissKind Engine<MaskT>::miss_part(const Geom& g, int proc, MaskT bit,
                                   i64 block, i64 addr, i64 size, bool is_write,
                                   int* inv_out) {
@@ -915,38 +607,9 @@ std::unique_ptr<MultiCacheSim::SharedPlanes> build_engine(
     e.datum_row_[p] = attributed ? datum_stats[planes[p]].data() : nullptr;
   }
   e.plane_index_ = planes;
-  // Two trailing padding elements keep the AVX2 path's 4-byte gather of
-  // the last u16 directory word in bounds.
-  e.sharers_.assign(blocks_total + 2, 0);
+  e.sharers_.assign(blocks_total, 0);
   e.owner_.assign(blocks_total, -1);
-
   e.kern_ = simd::active_kernels();
-  e.P8 = (e.P + 7) / 8 * 8;
-  e.vshift_.assign(static_cast<size_t>(e.P8), 0);
-  e.voff_.assign(static_cast<size_t>(e.P8), 0);
-  e.vvalid_.assign(static_cast<size_t>(e.P8), 0);
-  e.vhit_.assign(static_cast<size_t>(e.P8), 0);
-  for (int p = 0; p < e.P; ++p) {
-    const auto& g = e.geom_[static_cast<size_t>(p)];
-    e.vshift_[static_cast<size_t>(p)] = g.bshift;
-    e.voff_[static_cast<size_t>(p)] = static_cast<i32>(g.off);
-    e.vvalid_[static_cast<size_t>(p)] = -1;
-  }
-  e.use_avx2_ = false;
-#if defined(FSOPT_MULTI_AVX2)
-  // The vector loop needs the FSOPT_SIMD=2 opt-in (its gather loses to
-  // the scalar probe loop on slow-gather cores), u16 sharer masks
-  // (4-byte gather per lane), 32-bit-safe addresses and directory
-  // indices, and at most four 8-lane groups.
-  e.use_avx2_ = simd::batch_vector_enabled() &&
-                std::is_same_v<MaskT, std::uint16_t> &&
-                (e.kern_.level == simd::Level::kAVX2 ||
-                 e.kern_.level == simd::Level::kAVX512) &&
-                e.P8 <= 32 &&
-                e.total_span <= std::numeric_limits<i32>::max() &&
-                blocks_total <= static_cast<size_t>(
-                                    std::numeric_limits<i32>::max());
-#endif
   return eng;
 }
 
@@ -1005,39 +668,6 @@ void MultiCacheSim::on_batch(const MemRef* refs, size_t n) {
       }
     }
   }
-}
-
-void MultiCacheSim::access_reported(const MemRef& ref, AccessOutcome* out) {
-  // Engine planes: run the reference through the shared engine
-  // unattributed — exactly the per-batch code, so it leaves the same
-  // directory/word state behind as a counted reference — then read each
-  // plane's outcome back off its stats delta (one reference moves
-  // exactly one kind bucket plus the additive upgrade/invalidation
-  // counts) and undo the tally.  This path only serves the rare
-  // region-spanning pieces of the composed sharded replay, so the
-  // snapshot copy is not a hot-loop cost.
-  if (shared_ != nullptr) {
-    const std::vector<MissStats> before = stats_;
-    shared_->run_batch(&ref, 1, nullptr);
-    for (size_t i = 0; i < stats_.size(); ++i) {
-      const MissStats& a = before[i];
-      MissStats& b = stats_[i];
-      if (b.refs == a.refs) continue;  // fallback plane, handled below
-      AccessOutcome o;
-      if (b.hits > a.hits) o.kind = MissKind::kHit;
-      else if (b.cold > a.cold) o.kind = MissKind::kCold;
-      else if (b.replacement > a.replacement) o.kind = MissKind::kReplacement;
-      else if (b.true_sharing > a.true_sharing) o.kind = MissKind::kTrueSharing;
-      else o.kind = MissKind::kFalseSharing;
-      o.upgrade = b.upgrades != a.upgrades;
-      o.invalidated = static_cast<int>(b.invalidations - a.invalidations);
-      out[i] = o;
-      b = a;
-    }
-  }
-  for (auto& [idx, cache] : fallback_)
-    out[idx] = cache.access(ref.proc, ref.addr, ref.size,
-                            ref.type == RefType::kWrite);
 }
 
 std::map<std::string, MissStats> MultiCacheSim::by_datum(
@@ -1156,189 +786,6 @@ MultiReplayResult replay_multi(const TraceBuffer& trace,
   return replay_multi_impl(
       trace.size(), [&](TraceSink& sink) { trace.replay(sink); }, params,
       attribution, threads, conflicts);
-}
-
-MultiShardPlan multi_shard_plan(const std::vector<CacheParams>& params,
-                                int requested) {
-  MultiShardPlan plan;
-  FSOPT_CHECK(!params.empty(), "multi-replay needs at least one plane");
-  for (const CacheParams& p : params)
-    plan.region_bytes = std::max(plan.region_bytes, p.block_size);
-  // Exactness needs (a) every block to divide the region, so no plane's
-  // block straddles two shards, and (b) K to divide every plane's
-  // region count per cache, cache_bytes / region / assoc, so no plane's
-  // LRU set receives blocks from two shards (set index = block mod a
-  // power-of-two set count, and regions nest blocks).
-  i64 bound = std::numeric_limits<i64>::max();
-  for (const CacheParams& p : params) {
-    const i64 assoc = std::max<i64>(p.associativity, 1);
-    // Not composable (shards stays 1) unless the region nests this
-    // plane's blocks AND its per-cache region count is whole, so the
-    // set-purity divisibility below is exact arithmetic.
-    if (p.block_size < 4 || plan.region_bytes % p.block_size != 0 ||
-        (p.cache_bytes / assoc) % plan.region_bytes != 0)
-      return plan;
-    bound = std::min(bound, p.cache_bytes / plan.region_bytes / assoc);
-  }
-  if (bound < 1) return plan;
-  i64 k = std::min<i64>(requested < 1 ? 1 : requested, bound);
-  const auto divides_all = [&](i64 cand) {
-    for (const CacheParams& p : params) {
-      const i64 assoc = std::max<i64>(p.associativity, 1);
-      if ((p.cache_bytes / plan.region_bytes / assoc) % cand != 0)
-        return false;
-    }
-    return true;
-  };
-  while (k > 1 && !divides_all(k)) --k;
-  plan.shards = static_cast<int>(k);
-  return plan;
-}
-
-MultiReplayResult replay_multi_partitioned(
-    const MultiTracePartition& mp, const std::vector<CacheParams>& params,
-    const AddressMap* attribution, int threads) {
-  const TracePartition& part = mp.part;
-  const size_t nplanes = params.size();
-  FSOPT_CHECK(nplanes > 0, "multi-replay needs at least one plane");
-  FSOPT_CHECK(part.block_size == mp.region_bytes && part.shards >= 1,
-              "malformed region partition");
-  {
-    // The partition must be at least as constrained as the plan for
-    // this plane set: same region, and a shard count the plan's
-    // divisibility rules admit.
-    MultiShardPlan plan = multi_shard_plan(params, part.shards);
-    FSOPT_CHECK(plan.region_bytes == mp.region_bytes,
-                "partition region does not match the planes' block sizes");
-    FSOPT_CHECK(plan.shards == part.shards,
-                "partition shard count is not exact for these planes"
-                " (use multi_shard_plan)");
-  }
-  if (threads == 0) threads = default_thread_count();
-
-  // Per-shard job: one MultiCacheSim over ALL planes walks just the
-  // shard's slice of the stream.  Normal references count directly
-  // (their block, set, and word state is wholly shard-owned); split
-  // pieces only record per-plane outcomes for reassembly.
-  struct Job {
-    std::vector<MissStats> stats;               // [plane]
-    std::vector<std::vector<MissStats>> datum;  // [plane][slot]
-    struct SplitOutcome {
-      u32 ordinal = 0;
-      u8 part = 0;
-      std::vector<AccessOutcome> out;  // [plane]
-    };
-    std::vector<SplitOutcome> splits;
-  };
-  const size_t K = static_cast<size_t>(part.shards);
-  std::vector<Job> jobs(K);
-  const size_t batch = replay_batch_refs();
-  parallel_for_each(threads, K, [&](size_t k) {
-    obs::Span span("replay", "multi_shard");
-    MultiCacheSim sim(params, attribution);
-    const TraceShard& sh = part.shard[k];
-    size_t si = 0;
-    u64 pos = 0;
-    while (true) {
-      while (si < sh.splits.size() && sh.splits[si].pos == pos) {
-        const TraceShard::SplitPart& sp = sh.splits[si++];
-        Job::SplitOutcome so{sp.ordinal, sp.part,
-                             std::vector<AccessOutcome>(nplanes)};
-        sim.access_reported(sp.sub, so.out.data());
-        jobs[k].splits.push_back(std::move(so));
-      }
-      if (pos == sh.refs.size()) break;
-      // Contiguous run up to the next split position, fed in
-      // replay()-sized sub-batches so a slice stays cache-resident
-      // across the decode/simulate hand-off.
-      const u64 next = si < sh.splits.size()
-                           ? std::min<u64>(sh.splits[si].pos, sh.refs.size())
-                           : sh.refs.size();
-      for (u64 off = pos; off < next; off += batch)
-        sim.on_batch(sh.refs.data() + off,
-                     static_cast<size_t>(std::min<u64>(batch, next - off)));
-      pos = next;
-    }
-    jobs[k].stats.resize(nplanes);
-    jobs[k].datum.resize(nplanes);
-    for (size_t p = 0; p < nplanes; ++p) {
-      jobs[k].stats[p] = sim.stats(p);
-      if (attribution != nullptr) jobs[k].datum[p] = sim.datum_stats(p);
-    }
-    if (span.active()) {
-      const double refs =
-          static_cast<double>(sh.refs.size() + sh.splits.size());
-      span.arg("shard", static_cast<double>(k));
-      span.arg("planes", static_cast<double>(nplanes));
-      span.arg("refs", refs);
-      const double sec = span.elapsed_seconds();
-      if (sec > 0.0) span.arg("refs_per_sec", refs / sec);
-    }
-  });
-
-  // Combine: the per-plane counters are additive across shards, and
-  // split pieces reassemble per plane with the same severity/OR/sum
-  // merge the unsharded simulator applies inline, counted once against
-  // the origin reference's datum.
-  MultiReplayResult out;
-  out.stats.assign(nplanes, MissStats{});
-  out.by_datum.resize(nplanes);
-  const size_t slots =
-      attribution != nullptr ? attribution->ranges().size() + 1 : 0;
-  std::vector<std::vector<MissStats>> dense(
-      nplanes, std::vector<MissStats>(slots));
-  for (size_t k = 0; k < K; ++k) {
-    for (size_t p = 0; p < nplanes; ++p) {
-      out.stats[p].merge(jobs[k].stats[p]);
-      for (size_t s = 0; s < slots; ++s)
-        dense[p][s].merge(jobs[k].datum[p][s]);
-    }
-  }
-  if (!part.split_origin.empty()) {
-    // pieces[ordinal][plane][part], arriving in block order per shard.
-    std::vector<std::vector<std::array<AccessOutcome, 4>>> pieces(
-        part.split_origin.size(),
-        std::vector<std::array<AccessOutcome, 4>>(nplanes));
-    std::vector<u8> counts(part.split_origin.size(), 0);
-    for (size_t k = 0; k < K; ++k) {
-      for (const Job::SplitOutcome& so : jobs[k].splits) {
-        FSOPT_CHECK(so.part < 4, "split reference with too many pieces");
-        for (size_t p = 0; p < nplanes; ++p)
-          pieces[so.ordinal][p][so.part] = so.out[p];
-        ++counts[so.ordinal];
-      }
-    }
-    for (size_t i = 0; i < pieces.size(); ++i) {
-      int slot = -1;
-      if (attribution != nullptr) {
-        const int d = attribution->index_of(part.split_origin[i].addr);
-        slot = d >= 0 ? d : static_cast<int>(slots) - 1;
-      }
-      for (size_t p = 0; p < nplanes; ++p) {
-        const AccessOutcome o =
-            combine_split_outcomes(pieces[i][p].data(), counts[i]);
-        out.stats[p].add(o);
-        if (slot >= 0) dense[p][static_cast<size_t>(slot)].add(o);
-      }
-    }
-  }
-  if (attribution != nullptr)
-    for (size_t p = 0; p < nplanes; ++p)
-      out.by_datum[p] = materialize_by_datum(*attribution, dense[p]);
-  // One span per plane with its block size and combined miss mix, the
-  // same per-configuration read the unsharded replay paths emit.
-  for (size_t p = 0; p < nplanes; ++p) {
-    obs::Span plane("replay", "plane");
-    if (!plane.active()) break;
-    plane.arg("block", static_cast<double>(params[p].block_size));
-    plane.arg("refs", static_cast<double>(out.stats[p].refs));
-    plane.arg("cold", static_cast<double>(out.stats[p].cold));
-    plane.arg("replacement", static_cast<double>(out.stats[p].replacement));
-    plane.arg("true_sharing", static_cast<double>(out.stats[p].true_sharing));
-    plane.arg("false_sharing",
-              static_cast<double>(out.stats[p].false_sharing));
-  }
-  return out;
 }
 
 }  // namespace fsopt

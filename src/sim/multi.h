@@ -59,7 +59,6 @@
 
 #include "sim/cache.h"
 #include "trace/encode.h"
-#include "trace/shard.h"
 
 namespace fsopt {
 
@@ -86,14 +85,6 @@ class MultiCacheSim : public TraceSink {
 
   void on_ref(const MemRef& ref) override { on_batch(&ref, 1); }
   void on_batch(const MemRef* refs, size_t n) override;
-
-  /// Process one reference through every plane and report each plane's
-  /// outcome in `out` (planes() entries) WITHOUT counting it into
-  /// stats()/datum_stats().  State advances exactly as for a counted
-  /// reference.  The composed sharded replay uses this for
-  /// region-spanning split pieces, whose per-plane outcomes must be
-  /// merged across shards before the reference is counted once.
-  void access_reported(const MemRef& ref, AccessOutcome* out);
 
   size_t planes() const { return stats_.size(); }
   const MissStats& stats(size_t plane) const { return stats_[plane]; }
@@ -149,47 +140,5 @@ MultiReplayResult replay_multi(const TraceBuffer& trace,
                                const AddressMap* attribution = nullptr,
                                int threads = 1,
                                std::vector<ConflictGraph>* conflicts = nullptr);
-
-// ---------------------------------------------------------------------------
-// Composed sharded × multi-configuration replay.
-//
-// Block-partitioned sharding (trace/shard.h) and the single-pass
-// multi-plane walk compose: partition the trace once at *region*
-// granularity (a common multiple of every plane's block size), then
-// each shard runs one MultiCacheSim over ALL planes on just its slice
-// of the stream.  A K-shard sweep therefore decodes/partitions the
-// trace once and walks it K ways in parallel — instead of once per
-// configuration as the per-config sharded path does — while remaining
-// bit-identical to the serial replay_multi result: regions nest every
-// plane's blocks, so per-block directory and classifier state never
-// straddles shards, and a shard count dividing every plane's
-// cache_bytes / region keeps LRU sets shard-pure too.  Region-spanning
-// references are replayed piecewise via access_reported and merged
-// across shards with the same severity/OR/sum rules the unsharded
-// simulator applies inline.
-// ---------------------------------------------------------------------------
-
-/// Shard geometry valid for a whole plane set at once.
-struct MultiShardPlan {
-  i64 region_bytes = 4;  // partition granularity: the largest plane block
-  int shards = 1;        // largest exact K <= requested (1: don't shard)
-};
-
-/// The largest shard count <= `requested` for which the composed replay
-/// is exact across every plane in `params`, together with the region
-/// size.  Returns shards == 1 when the planes cannot be composed (a
-/// block size that does not divide the region) or requested <= 1.
-MultiShardPlan multi_shard_plan(const std::vector<CacheParams>& params,
-                                int requested);
-
-/// Replay a region-partitioned trace (partition_trace_multi) across its
-/// shards, every shard simulating all of `params` at once.  The
-/// partition must come from a plan valid for `params`
-/// (multi_shard_plan); results are bit-identical to replay_multi on the
-/// unpartitioned trace for every shard count and thread count.
-/// `threads` = 0 uses default_thread_count().
-MultiReplayResult replay_multi_partitioned(
-    const MultiTracePartition& part, const std::vector<CacheParams>& params,
-    const AddressMap* attribution = nullptr, int threads = 0);
 
 }  // namespace fsopt

@@ -44,7 +44,6 @@ namespace {
 
 // -1: defer to the environment; 0/1: in-process override.
 std::atomic<int> g_force_scalar{-1};
-std::atomic<int> g_batch_vector{-1};
 
 bool env_force_scalar() {
   static const bool cached = [] {
@@ -54,16 +53,10 @@ bool env_force_scalar() {
   return cached;
 }
 
-// Parsed per call (engine construction only, never per batch) so tests
-// and benches that setenv between simulator builds see the change.
-bool env_batch_vector() {
-  const char* env = std::getenv("FSOPT_SIMD");
-  return env != nullptr && env[0] == '2' && env[1] == '\0';
-}
-
 // Level cap: FSOPT_SIMD=avx2 pins x86 dispatch to the AVX2 kernels on
-// AVX-512 hosts.  Parsed per call for the same reason as the batch
-// opt-in above.
+// AVX-512 hosts.  Parsed per call (engine construction only, never per
+// batch) so tests and benches that setenv between simulator builds see
+// the change.
 bool env_cap_avx2() {
   const char* env = std::getenv("FSOPT_SIMD");
   return env != nullptr && env[0] == 'a' && env[1] == 'v' && env[2] == 'x' &&
@@ -84,14 +77,6 @@ Level active_level() {
   Level l = detected_level();
   if (l == Level::kAVX512 && env_cap_avx2()) return Level::kAVX2;
   return l;
-}
-
-void set_batch_vector(int enable) { g_batch_vector.store(enable); }
-
-bool batch_vector_enabled() {
-  if (active_level() == Level::kScalar) return false;
-  const int e = g_batch_vector.load();
-  return e >= 0 ? e != 0 : env_batch_vector();
 }
 
 std::string cpu_features() {

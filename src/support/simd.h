@@ -1,8 +1,8 @@
 // Portable SIMD dispatch for the replay engines.
 //
 // The multi-plane replay's per-miss scans (word write-version checks,
-// granule-aggregate maxima) and its per-reference plane loop are data
-// parallel; this header gives them one portable seam:
+// granule-aggregate maxima) are data parallel; this header gives them
+// one portable seam:
 //
 //   * an always-available scalar implementation of every kernel — the
 //     bit-exactness reference, and the only path on hardware without
@@ -17,14 +17,7 @@
 //     environment) pins every consumer to the scalar table; and a
 //     level cap, `FSOPT_SIMD=avx2`, that pins x86 dispatch to the AVX2
 //     kernels on AVX-512 hosts (tier-vs-tier measurement and
-//     differential testing);
-//   * an opt-in for the engine's gather-based vector batch loop:
-//     `FSOPT_SIMD=2` (or `set_batch_vector(1)`).  The dispatched miss
-//     kernels are profitable wherever AVX2 exists, but the batch
-//     loop's per-plane directory gather only beats the scalar probe
-//     loop on cores with fast gathers — measured slower on the
-//     Skylake-class reference host (see DESIGN.md §12), so it is not
-//     the default.
+//     differential testing).
 //
 // Consumers snapshot the active level when they build their engine
 // state (MultiCacheSim reads it in its constructor), so toggling the
@@ -68,16 +61,6 @@ bool force_scalar();
 
 /// detected_level(), demoted to kScalar when force_scalar() is on.
 Level active_level();
-
-/// -1: defer to the environment (`FSOPT_SIMD=2` enables; the default).
-/// 1: enable the vector batch loop in-process.  0: disable.
-void set_batch_vector(int enable);
-
-/// True when the engine should use its vector batch loop: active_level()
-/// is a vector level AND the opt-in (set_batch_vector(1) or
-/// FSOPT_SIMD=2) is present.  Read at engine construction, not per
-/// batch.
-bool batch_vector_enabled();
 
 /// Short human-readable description of the host's vector features, for
 /// bench metadata ("avx2+sse4.2", "neon", "scalar").

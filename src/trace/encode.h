@@ -18,8 +18,7 @@
 // Every chunk encodes up to chunk_refs references and resets the
 // per-processor address state, so chunks decode independently and in any
 // order — a replay can stream chunk by chunk through a small scratch
-// buffer, and partition_trace can consume the stream without ever
-// materializing the full raw trace.
+// buffer without ever materializing the full raw trace.
 //
 // TraceEncoder is a TraceSink, so the interpreter can record straight
 // into the compressed form (driver record_encoded_trace) — the raw

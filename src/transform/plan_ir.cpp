@@ -259,7 +259,6 @@ TransformPlan plan_from_json(std::string_view json, const Program& prog) {
                                    "string");
   plan.planner = planner.as_string();
   plan.block_size = int_member(*doc, "block_size", "plan");
-  FSOPT_CHECK(plan.block_size > 0, "plan block_size must be positive");
 
   const json::Value& decisions = member(*doc, "decisions", "plan");
   FSOPT_CHECK(decisions.is_array(),
@@ -352,6 +351,10 @@ TransformPlan plan_from_json(std::string_view json, const Program& prog) {
 std::vector<std::string> plan_parameter_errors(const TransformPlan& plan,
                                                const Program& prog) {
   std::vector<std::string> errors;
+  if (plan.block_size <= 0 || plan.block_size > kMaxPlanBlockBytes)
+    errors.push_back("block_size " + std::to_string(plan.block_size) +
+                     " is outside 1.." + std::to_string(kMaxPlanBlockBytes) +
+                     " bytes");
   for (const TransformDecision& d : plan.decisions) {
     const bool barrier = d.datum.sym == kBarrierSym && d.datum.field < 0;
     const GlobalSym* g =
@@ -371,27 +374,44 @@ std::vector<std::string> plan_parameter_errors(const TransformPlan& plan,
     }
     const std::string what = std::string(transform_name(d.kind)) +
                              " on '" + datum_spelling(d.datum, prog) + "'";
+    // Extent of the partitioned dimension; 0 when pid_dim names none.
+    i64 pid_extent = 0;
     if (d.kind == TransformKind::kGroupTranspose ||
         d.kind == TransformKind::kIndirection) {
-      // The datum's rank: the symbol's dimensions, plus the field-array
+      // The datum's dimensions: the symbol's, plus the field-array
       // dimension of an array field.
-      i64 rank = g != nullptr ? static_cast<i64>(g->dims.size()) : 0;
-      if (g != nullptr && d.datum.field >= 0 &&
-          g->elem.strct->fields[static_cast<size_t>(d.datum.field)]
-                  .array_len > 0)
-        ++rank;
+      std::vector<i64> dims;
+      if (g != nullptr) {
+        dims = g->dims;
+        if (d.datum.field >= 0) {
+          const i64 len =
+              g->elem.strct->fields[static_cast<size_t>(d.datum.field)]
+                  .array_len;
+          if (len > 0) dims.push_back(len);
+        }
+      }
+      const i64 rank = static_cast<i64>(dims.size());
       if (d.pid_dim < 0 || d.pid_dim >= rank)
         errors.push_back(what + ": pid_dim " + std::to_string(d.pid_dim) +
                          " is outside the datum's " + std::to_string(rank) +
                          " dimension(s)");
+      else
+        pid_extent = dims[static_cast<size_t>(d.pid_dim)];
     }
-    const bool uses_chunk =
-        d.kind == TransformKind::kIntraPad ||
-        (d.kind == TransformKind::kGroupTranspose &&
-         d.shape == PartitionShape::kBlocked);
-    if (uses_chunk && d.chunk <= 0)
+    const bool blocked_gt = d.kind == TransformKind::kGroupTranspose &&
+                            d.shape == PartitionShape::kBlocked;
+    if (!blocked_gt && d.kind != TransformKind::kIntraPad) continue;
+    if (d.chunk <= 0)
       errors.push_back(what + ": chunk " + std::to_string(d.chunk) +
                        " must be positive");
+    else if (blocked_gt && pid_extent > 0 && d.chunk > pid_extent)
+      errors.push_back(what + ": chunk " + std::to_string(d.chunk) +
+                       " exceeds the extent " + std::to_string(pid_extent) +
+                       " of dimension " + std::to_string(d.pid_dim));
+    else if (!blocked_gt && d.chunk > kMaxPlanBlockBytes)
+      errors.push_back(what + ": chunk " + std::to_string(d.chunk) +
+                       " exceeds the largest block size " +
+                       std::to_string(kMaxPlanBlockBytes));
   }
   return errors;
 }

@@ -142,11 +142,20 @@ void plan_to_writer(json::Writer& w, const TransformPlan& plan,
 /// plan_parameter_errors rejects.
 TransformPlan plan_from_json(std::string_view json, const Program& prog);
 
-/// Checks the numbers a decision hands to the layout as indices or
-/// divisors: a group&transpose or indirection `pid_dim` must name one of
-/// its datum's dimensions, and `chunk` must be positive where the layout
-/// uses it (blocked group&transpose, intra-pad strides).  Returns one
-/// message per rejected decision, empty when the plan passes.
+/// The largest coherence unit a plan may target, which is also the widest
+/// intra-pad stride (a stride is the block size up to which it separates
+/// elements).  The layout pads data to these sizes, so a larger value
+/// only inflates the address space until allocation fails.
+constexpr i64 kMaxPlanBlockBytes = 4096;
+
+/// Checks the numbers a plan hands to the layout as sizes, indices or
+/// divisors: the plan's `block_size` must lie in 1..kMaxPlanBlockBytes, a
+/// group&transpose or indirection `pid_dim` must name one of its datum's
+/// dimensions, and `chunk` must be positive where the layout uses it and
+/// no larger than what it blocks (the partitioned dimension's extent for
+/// a blocked group&transpose, kMaxPlanBlockBytes for an intra-pad
+/// stride).  Returns one message per rejected value, empty when the plan
+/// passes.
 std::vector<std::string> plan_parameter_errors(const TransformPlan& plan,
                                                const Program& prog);
 

@@ -223,7 +223,7 @@ TEST(Cache, OutOfRangeAccessThrows) {
 
 TEST(CacheSim, SplitRefCountsOnce) {
   // An 8B ref on 4B blocks is two block transactions but ONE reference
-  // in the stats — same contract as the sharded replay path.
+  // in the stats — same contract as the multi-plane replay.
   CacheSim sim(params(2, /*block=*/4));
   sim.on_ref({0, 8, 0, RefType::kRead});
   EXPECT_EQ(sim.stats().refs, 1u);

@@ -1,15 +1,13 @@
 // Differential suite for single-pass multi-configuration replay
 // (sim/multi.h): replay_multi must be bit-identical — aggregate stats
-// and per-datum attribution — to independent per-configuration replays
-// through the sharded path (replay_partitioned), for every cell of the
-// full workload matrix, across block sizes and shard counts, and for
-// any thread count / plane grouping.
+// and per-datum attribution — to independent single-plane CacheSim
+// replays (the oracle), for every cell of the full workload matrix,
+// across block sizes, and for any thread count / plane grouping.
 #include "sim/multi.h"
 
 #include <gtest/gtest.h>
 
 #include "driver/experiment.h"
-#include "trace/shard.h"
 
 namespace fsopt {
 namespace {
@@ -142,11 +140,11 @@ TEST(MultiReplay, PerDatumAttributionMatchesSoloSim) {
 //
 // Every cell of the paper's experiment matrix (ten workloads x {N,C}
 // plus the programmer-optimized versions): single-pass multi-plane
-// replay of the cell's recorded trace must equal looped
-// replay_partitioned — the sharded engine — at every block size and for
-// shard counts 1 and 4, on aggregate stats AND per-datum attribution.
+// replay of the cell's recorded trace, at 1 and 4 threads, must equal a
+// dedicated single-plane CacheSim replay at every block size, on
+// aggregate stats AND per-datum attribution.
 
-TEST(MultiReplayMatrix, BitIdenticalToPartitionedReplayAcrossAllCells) {
+TEST(MultiReplayMatrix, BitIdenticalToSinglePlaneCacheSimAcrossAllCells) {
   std::vector<CompileJob> jobs = workload_matrix_jobs();
   ASSERT_EQ(jobs.size(), 29u);  // 10 N + 10 C + 9 P
   std::vector<CompiledVariant> cells = compile_matrix(jobs);
@@ -161,21 +159,19 @@ TEST(MultiReplayMatrix, BitIdenticalToPartitionedReplayAcrossAllCells) {
 
     std::vector<CacheParams> params =
         sweep_params(c.nprocs(), c.code.total_bytes, blocks);
-    MultiReplayResult multi = replay_multi(trace, params, &am);
+    std::vector<CacheSim> oracle;
+    for (const CacheParams& p : params) oracle.emplace_back(p, &am);
+    for (CacheSim& sim : oracle) trace.replay(sim);
 
-    for (size_t p = 0; p < params.size(); ++p) {
-      for (int k : {1, 4}) {
-        int eff = effective_shard_count(k, params[p]);
-        TracePartition part =
-            partition_trace(trace, params[p].block_size, eff);
-        ShardedReplayResult sharded = replay_partitioned(part, params[p],
-                                                         &am);
-        EXPECT_EQ(multi.stats[p], sharded.stats)
+    for (int threads : {1, 4}) {
+      MultiReplayResult multi = replay_multi(trace, params, &am, threads);
+      for (size_t p = 0; p < params.size(); ++p) {
+        EXPECT_EQ(multi.stats[p], oracle[p].stats())
             << cell.label << " block=" << params[p].block_size
-            << " shards=" << eff;
-        EXPECT_EQ(multi.by_datum[p], sharded.by_datum)
+            << " threads=" << threads;
+        EXPECT_EQ(multi.by_datum[p], oracle[p].by_datum())
             << cell.label << " block=" << params[p].block_size
-            << " shards=" << eff;
+            << " threads=" << threads;
       }
     }
   }

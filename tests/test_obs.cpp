@@ -2,16 +2,18 @@
 // nesting and thread attribution, Chrome-trace JSON well-formedness,
 // ThreadPool instrumentation (queue-depth counters, busy spans), summary
 // aggregation, and the must-not-perturb-results guarantee — replay stats
-// bit-identical with tracing on vs. off, alongside the shard-determinism
-// suite in test_shard.cpp.  The second half covers the metrics registry
-// (obs/metrics.h): histogram bucket boundaries, concurrent-increment
-// exactness, the kind-mismatch check, both expositions and the
-// partial-data marker.
+// bit-identical with tracing on vs. off.  The second half covers the
+// metrics registry (obs/metrics.h): histogram bucket boundaries,
+// concurrent-increment exactness, the kind-mismatch check, both
+// expositions and the partial-data marker.
 #include "obs/obs.h"
 
 #include <gtest/gtest.h>
 
 #include <future>
+#include <map>
+#include <set>
+#include <string_view>
 #include <thread>
 
 #include "driver/experiment.h"
@@ -208,28 +210,36 @@ TEST_F(ObsTest, RecordSpansCarryInterpreterThroughput) {
 TEST_F(ObsTest, EndToEndRunEmitsPassRecordAndReplaySpans) {
   Compiled c = compile_source(kProgram, CompileOptions{});
   TraceBuffer trace = record_trace(c);
-  // Force sharding so per-shard spans exist even for this small trace.
   replay_trace_study(trace, c, {16, 64}, 32 * 1024, nullptr,
-                     /*threads=*/2, /*shards=*/2);
+                     /*threads=*/2);
 
   obs::TraceData data = obs::collect();
   EXPECT_NE(find_span(data, "parse"), nullptr);
   EXPECT_NE(find_span(data, "codegen"), nullptr);
   EXPECT_NE(find_span(data, "record_trace"), nullptr);
-  EXPECT_NE(find_span(data, "partition"), nullptr);
-  // Sharded sweeps run the composed sharded × multi-plane engine: one
-  // span per shard with throughput, one span per plane with the
-  // miss-class counters.
-  const obs::SpanEvent* shard = find_span(data, "multi_shard");
-  ASSERT_NE(shard, nullptr);
-  bool has_refs = false;
-  for (const obs::Arg& a : shard->args) has_refs |= a.key == "refs";
-  EXPECT_TRUE(has_refs);
-  const obs::SpanEvent* plane = find_span(data, "plane");
-  ASSERT_NE(plane, nullptr);
-  bool has_fs = false;
-  for (const obs::Arg& a : plane->args) has_fs |= a.key == "false_sharing";
-  EXPECT_TRUE(has_fs);
+  // The study runs one multi-plane replay per plane group: one "multi"
+  // span per group with its plane count and throughput, and one "plane"
+  // span per block size with the miss-class counters.  Two threads over
+  // two planes give two groups of one plane each.
+  size_t multi_spans = 0;
+  std::set<double> plane_blocks;
+  for (const obs::ThreadLog& t : data.threads) {
+    for (const obs::SpanEvent& s : t.spans) {
+      if (std::string_view(s.category) != "replay") continue;
+      std::map<std::string, double> args;
+      for (const obs::Arg& a : s.args) args[a.key] = a.num;
+      if (s.name == "multi") {
+        ++multi_spans;
+        EXPECT_EQ(args["planes"], 1.0);
+        EXPECT_EQ(args["refs"], static_cast<double>(trace.size()));
+      } else if (s.name == "plane") {
+        plane_blocks.insert(args["block"]);
+        EXPECT_TRUE(args.count("false_sharing"));
+      }
+    }
+  }
+  EXPECT_EQ(multi_spans, 2u);
+  EXPECT_EQ(plane_blocks, (std::set<double>{16, 64}));
 
   obs::TraceSummary summary = obs::summarize(data);
   EXPECT_FALSE(summary.slowest_pass.empty());
@@ -247,13 +257,13 @@ TEST_F(ObsTest, StatsBitIdenticalWithTracingOnAndOff) {
   Compiled off_c = compile_source(kProgram, CompileOptions{});
   TraceStudyResult off =
       run_trace_study(off_c, paper_block_sizes(), 32 * 1024, nullptr,
-                      /*threads=*/2, /*shards=*/2);
+                      /*threads=*/2);
 
   obs::set_enabled(true);
   Compiled on_c = compile_source(kProgram, CompileOptions{});
   TraceStudyResult on =
       run_trace_study(on_c, paper_block_sizes(), 32 * 1024, nullptr,
-                      /*threads=*/2, /*shards=*/2);
+                      /*threads=*/2);
 
   EXPECT_EQ(compile_fingerprint(off_c), compile_fingerprint(on_c));
   EXPECT_EQ(off.refs, on.refs);
@@ -449,13 +459,12 @@ TEST_F(MetricsTest, StatsBitIdenticalWithMetricsOnAndOff) {
   obs::set_metrics_enabled(false);
   Compiled off_c = compile_source(kProgram, CompileOptions{});
   TraceStudyResult off = run_trace_study(off_c, {16, 128}, 32 * 1024,
-                                         nullptr, /*threads=*/2,
-                                         /*shards=*/2);
+                                         nullptr, /*threads=*/2);
 
   obs::set_metrics_enabled(true);
   Compiled on_c = compile_source(kProgram, CompileOptions{});
   TraceStudyResult on = run_trace_study(on_c, {16, 128}, 32 * 1024, nullptr,
-                                        /*threads=*/2, /*shards=*/2);
+                                        /*threads=*/2);
 
   EXPECT_EQ(compile_fingerprint(off_c), compile_fingerprint(on_c));
   EXPECT_EQ(off.refs, on.refs);

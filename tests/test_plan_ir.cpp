@@ -273,6 +273,49 @@ TEST(PlanJson, RejectsNonPositiveChunkWhereTheLayoutUsesIt) {
   EXPECT_NO_THROW(compile_source(kAllKindsSource, o));
 }
 
+TEST(PlanJson, RejectsChunkAndBlockSizeBeyondWhatTheLayoutSupports) {
+  Ctx c = analyze(kAllKindsSource);
+  // Values that used to reach the layout and abort with bad_alloc; every
+  // one is now a diagnostic (fsoptc --plan-in exits 1 on it).
+  for (const std::string big : {"2147483647", "1099511627776"}) {
+    SCOPED_TRACE(big);
+    // A blocked partition of `a` (64 elements) cannot hold more than 64
+    // elements per chunk.
+    expect_rejected(*c.prog, gt_decision("a", "0", "blocked", big),
+                    ("chunk " + big + " exceeds the extent 64").c_str());
+    // An intra-pad stride, on a datum or on the barrier.
+    expect_rejected(*c.prog, R"({"datum": "a", "kind": "intra-pad",
+        "chunk": )" + big + R"(, "reason": {"code": "none"}})",
+                    ("intra-pad on 'a': chunk " + big).c_str());
+    expect_rejected(*c.prog, R"({"datum": "<barrier>", "kind": "intra-pad",
+        "chunk": )" + big + R"(, "reason": {"code": "none"}})",
+                    "exceeds the largest block size");
+    // The plan's own block size.
+    try {
+      plan_from_json(R"({"plan_version": 1, "planner": "x", "block_size": )" +
+                         big + R"(, "decisions": []})",
+                     *c.prog);
+      ADD_FAILURE() << "accepted";
+    } catch (const InternalError& e) {
+      EXPECT_NE(std::string(e.what()).find("block_size " + big +
+                                           " is outside"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // The bounds themselves are accepted and compile.
+  CompileOptions o;
+  o.overrides = {{"NPROCS", 8}};
+  o.plan = std::make_shared<TransformPlan>(plan_from_json(
+      R"({"plan_version": 1, "planner": "x", "block_size": 4096,
+          "decisions": [)" +
+          gt_decision("a", "0", "blocked", "64") + R"(, {"datum": "s",
+          "kind": "intra-pad", "chunk": 4096,
+          "reason": {"code": "none"}}]})",
+      *c.prog));
+  EXPECT_NO_THROW(compile_source(kAllKindsSource, o));
+}
+
 // ---------------------------------------------------------------------------
 // plan_diff goldens
 // ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ struct SearchHarness {
     h.compiled = compile_source(h.source, h.options);
     h.am = build_address_map(h.compiled);
     TraceStudyResult st = run_trace_study(h.compiled, h.blocks, 32 * 1024,
-                                          &h.am, 1, 0, true);
+                                          &h.am, 1, true);
     h.profile = build_fs_profile(st, h.target);
     h.conflicts = build_conflict_profile(st, h.target, h.am);
     return h;
@@ -160,7 +160,7 @@ struct SearchHarness {
       o.plan = std::make_shared<TransformPlan>(p);
       Compiled c = compile_source(source, o);
       TraceStudyResult st =
-          run_trace_study(c, blocks, 32 * 1024, nullptr, threads, 0, false);
+          run_trace_study(c, blocks, 32 * 1024, nullptr, threads);
       PlanScore s;
       for (i64 b : blocks) {
         s.fs[b] = st.at(b).false_sharing;
@@ -501,7 +501,7 @@ TEST(SearchSeedScore, ReusedScoreEqualsFreshEvaluation) {
     fresh.plan = std::make_shared<TransformPlan>(sp.seed.final_plan());
     Compiled c = compile_source(w.natural, fresh);
     TraceStudyResult st = run_trace_study(c, blocks, opt.seed.l1_bytes,
-                                          nullptr, 1, 0, false);
+                                          nullptr, 1);
     const PlanScore& reused = sp.search.evaluated[0].score;
     for (i64 b : blocks) {
       EXPECT_EQ(reused.fs.at(b), st.at(b).false_sharing) << "block " << b;

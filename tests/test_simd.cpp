@@ -1,8 +1,8 @@
 // Bit-exactness of the SIMD dispatch layer (support/simd.h): every
 // vector kernel must return exactly what its scalar twin returns, for
 // every extent and edge case, and a replay built on the vector tables
-// (including the opt-in gather batch loop) must produce stats and
-// attribution identical to a forced-scalar replay.  On hosts without
+// must produce stats and attribution identical to a forced-scalar
+// replay.  On hosts without
 // AVX2/NEON the dispatched table IS the scalar table, so the suite
 // degenerates to self-consistency and still passes.
 #include "support/simd.h"
@@ -17,13 +17,10 @@
 namespace fsopt {
 namespace {
 
-/// Restores both in-process overrides (force-scalar and batch-vector)
-/// to "defer to the environment" however the test exits.
+/// Restores the in-process force-scalar override to "defer to the
+/// environment" however the test exits.
 struct SimdOverrideGuard {
-  ~SimdOverrideGuard() {
-    simd::set_force_scalar(-1);
-    simd::set_batch_vector(-1);
-  }
+  ~SimdOverrideGuard() { simd::set_force_scalar(-1); }
 };
 
 TEST(Simd, LevelPlumbing) {
@@ -128,7 +125,7 @@ std::vector<MemRef> contended_stream() {
   return refs;
 }
 
-TEST(Simd, ReplayBitIdenticalScalarVsDispatchedVsGatherLoop) {
+TEST(Simd, ReplayBitIdenticalScalarVsDispatched) {
   SimdOverrideGuard guard;
   TraceBuffer raw;
   std::vector<MemRef> refs = contended_stream();
@@ -140,38 +137,18 @@ TEST(Simd, ReplayBitIdenticalScalarVsDispatchedVsGatherLoop) {
   for (i64 b : {4, 8, 16, 32, 64, 128, 256})
     params.push_back({8, 8192, b, 1 << 13});
 
+  // Attributed and unattributed replays take different batch loops.
   simd::set_force_scalar(1);
   MultiReplayResult scalar = replay_multi(raw, params, &am);
+  MultiReplayResult scalar_plain = replay_multi(raw, params);
 
-  simd::set_force_scalar(0);  // dispatched kernels, default batch loop
+  simd::set_force_scalar(0);  // dispatched kernels
   MultiReplayResult dispatched = replay_multi(raw, params, &am);
+  MultiReplayResult dispatched_plain = replay_multi(raw, params);
   EXPECT_EQ(scalar.stats, dispatched.stats);
   EXPECT_EQ(scalar.by_datum, dispatched.by_datum);
-
-  simd::set_batch_vector(1);  // opt-in gather batch loop (FSOPT_SIMD=2)
-  MultiReplayResult gathered = replay_multi(raw, params, &am);
-  EXPECT_EQ(scalar.stats, gathered.stats);
-  EXPECT_EQ(scalar.by_datum, gathered.by_datum);
-}
-
-TEST(Simd, ComposedShardedReplayBitIdenticalAcrossLevels) {
-  SimdOverrideGuard guard;
-  TraceBuffer raw;
-  std::vector<MemRef> refs = contended_stream();
-  raw.on_batch(refs.data(), refs.size());
-  std::vector<CacheParams> params;
-  for (i64 b : {4, 32, 256}) params.push_back({8, 8192, b, 1 << 13});
-  MultiShardPlan plan = multi_shard_plan(params, 4);
-  ASSERT_GT(plan.shards, 1);
-  MultiTracePartition part =
-      partition_trace_multi(raw, plan.region_bytes, plan.shards);
-
-  simd::set_force_scalar(1);
-  MultiReplayResult scalar = replay_multi_partitioned(part, params);
-  simd::set_force_scalar(0);
-  simd::set_batch_vector(1);
-  MultiReplayResult vector = replay_multi_partitioned(part, params);
-  EXPECT_EQ(scalar.stats, vector.stats);
+  EXPECT_EQ(scalar_plain.stats, dispatched_plain.stats);
+  EXPECT_EQ(scalar.stats, scalar_plain.stats);
 }
 
 }  // namespace

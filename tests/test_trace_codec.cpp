@@ -1,8 +1,7 @@
 // Property tests for the compressed columnar trace codec
 // (trace/encode.h): decode(encode(t)) == t over seeded pseudo-random and
 // adversarial streams, chunk-boundary-independent decoding (any chunk,
-// any order), streaming-vs-bulk encoder equivalence, and encoded-input
-// partitioning (partition_trace over EncodedTrace == over TraceBuffer).
+// any order) and streaming-vs-bulk encoder equivalence.
 //
 // The fuzz loops run a fixed seed matrix so CI is reproducible; set
 // FSOPT_FUZZ_ITERS to scale the number of random cases per pattern.
@@ -14,8 +13,6 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
-
-#include "trace/shard.h"
 
 namespace fsopt {
 namespace {
@@ -148,29 +145,6 @@ std::vector<MemRef> decode_all(const EncodedTrace& t) {
   VectorSink sink;
   t.replay(sink);
   return sink.refs();
-}
-
-/// TracePartition has no operator==; compare the replay-relevant state.
-void expect_partitions_equal(const TracePartition& a,
-                             const TracePartition& b) {
-  ASSERT_EQ(a.refs, b.refs);
-  ASSERT_EQ(a.block_size, b.block_size);
-  ASSERT_EQ(a.shards, b.shards);
-  ASSERT_EQ(a.split_origin, b.split_origin);
-  ASSERT_EQ(a.shard.size(), b.shard.size());
-  for (size_t k = 0; k < a.shard.size(); ++k) {
-    EXPECT_EQ(a.shard[k].refs, b.shard[k].refs) << "shard " << k;
-    ASSERT_EQ(a.shard[k].splits.size(), b.shard[k].splits.size())
-        << "shard " << k;
-    for (size_t i = 0; i < a.shard[k].splits.size(); ++i) {
-      const auto& sa = a.shard[k].splits[i];
-      const auto& sb = b.shard[k].splits[i];
-      EXPECT_EQ(sa.pos, sb.pos);
-      EXPECT_EQ(sa.ordinal, sb.ordinal);
-      EXPECT_EQ(sa.part, sb.part);
-      EXPECT_EQ(sa.sub, sb.sub);
-    }
-  }
 }
 
 // --- directed cases --------------------------------------------------
@@ -310,23 +284,6 @@ TEST_P(TraceCodecFuzz, ChunksDecodeIndependently) {
       std::vector<MemRef> again;
       t.decode_chunk(0, again);
       EXPECT_EQ(scratch, again);
-    }
-  }
-}
-
-TEST_P(TraceCodecFuzz, PartitioningEncodedMatchesRaw) {
-  const Pattern& pat = GetParam();
-  int iters = std::max(1, fuzz_iters() / 2);
-  for (int iter = 0; iter < iters; ++iter) {
-    Rng rng(0x5ad * (iter + 1) + (&pat - kPatterns) * 31);
-    std::vector<MemRef> refs = pat.gen(rng, 1 + rng.below(4000));
-    TraceBuffer raw = to_buffer(refs);
-    EncodedTrace enc = encode_trace(raw, /*chunk_refs=*/256);
-    for (i64 block : {4, 64}) {
-      for (int shards : {1, 4}) {
-        expect_partitions_equal(partition_trace(enc, block, shards),
-                                partition_trace(raw, block, shards));
-      }
     }
   }
 }

@@ -15,7 +15,9 @@
 //
 // The report kind is autodetected from the document shape:
 //   * bench reports ({"results": [...]}, bench/bench_util.h JsonReport) —
-//     rows are compared per (workload, metric) pair.  Both the current
+//     rows are compared per (workload, metric) pair, and a baseline
+//     metric missing from the current report counts as a failure (a
+//     gate must not silently stop comparing a row).  Both the current
 //     shape (run facts in a top-level "meta" object) and the legacy shape
 //     (fake "workload": "host" rows) are accepted; host/meta entries and
 //     string-valued metrics never participate in the comparison.
@@ -24,8 +26,8 @@
 //     forced to lower), and a datum newly exceeding --min-count misses
 //     is reported even with no baseline entry.
 //
-// Exit status: 0 = within threshold, 1 = regression(s), 2 = usage or
-// parse error.
+// Exit status: 0 = within threshold, 1 = regression(s) or missing
+// metric(s), 2 = usage or parse error.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -149,13 +151,20 @@ int diff_bench(const json::Value& base, const json::Value& cur,
   auto b = bench_rows(base, o.baseline_path);
   auto c = bench_rows(cur, o.current_path);
   int regressions = 0;
+  int missing = 0;
   size_t compared = 0;
   for (const auto& [key, bv] : b) {
     if (!o.metric_filter.empty() &&
         key.second.find(o.metric_filter) == std::string::npos)
       continue;
     auto it = c.find(key);
-    if (it == c.end()) continue;
+    if (it == c.end()) {
+      ++missing;
+      std::printf("MISSING    %s/%s: %.6g -> absent from the current "
+                  "report\n",
+                  key.first.c_str(), key.second.c_str(), bv);
+      continue;
+    }
     double cv = it->second;
     if (bv < o.min_count && cv < o.min_count) continue;
     ++compared;
@@ -172,9 +181,10 @@ int diff_bench(const json::Value& base, const json::Value& cur,
                 key.second.c_str(), bv, cv, factor,
                 o.higher_is_better ? "slower" : "larger");
   }
-  std::printf("%zu metric(s) compared, %d regression(s) past %.2fx\n",
-              compared, regressions, o.threshold);
-  return regressions > 0 ? 1 : 0;
+  std::printf("%zu metric(s) compared, %d regression(s) past %.2fx, "
+              "%d missing\n",
+              compared, regressions, o.threshold, missing);
+  return regressions > 0 || missing > 0 ? 1 : 0;
 }
 
 // --- diagnosis reports -----------------------------------------------------

@@ -62,11 +62,11 @@
 //                       search's candidate scoring
 //                       (default: FSOPT_THREADS env, else all cores)
 //   --trace-out PATH    write a Chrome trace of the whole run (passes,
-//                       pool jobs, replay shards) to PATH at exit; same
+//                       pool jobs, replay planes) to PATH at exit; same
 //                       as FSOPT_TRACE=PATH in the environment
 //   --trace-summary     print the runtime-trace aggregation (per-category
-//                       time, pool utilization, slowest pass/shard) to
-//                       stderr at exit
+//                       time, pool utilization, slowest pass) to stderr
+//                       at exit
 //   --metrics-out PATH  write a metrics snapshot (obs/metrics.h) to PATH
 //                       at exit — Prometheus text exposition, or JSON when
 //                       PATH ends in .json; same as FSOPT_METRICS=PATH
