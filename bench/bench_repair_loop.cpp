@@ -35,8 +35,7 @@
 //
 // Extra flags (on top of the shared --threads/--json):
 //   --block N   primary coherence-unit size to repair at (default 128)
-// FSOPT_SEARCH_BUDGET overrides the per-workload candidate-replay budget
-// (default here: 12).
+// The search gets a per-workload budget of 12 candidate replays.
 #include <algorithm>
 
 #include "bench_util.h"
@@ -113,7 +112,6 @@ int main(int argc, char** argv) {
     sopt.seed = popt;
     sopt.seed.planner_name = "graph";
     sopt.budget.max_replays = 12;
-    sopt.budget = search_budget_from_env(sopt.budget);
     SearchPlanResult sp = search_plan(
         w.natural, options_for(w, w.fig3_procs, true, false), sopt);
     const RepairResult& rg = sp.seed;

@@ -9,8 +9,7 @@
 //   3. compressed traces (trace/encode.h): encoded vs raw footprint and
 //      decode throughput, then the block-size sweep run as N dedicated
 //      per-configuration passes vs one single-pass multi-plane walk
-//      (sim/multi.h), plus its SIMD-kernel and pipelined-decode
-//      variants.
+//      (sim/multi.h), plus its pipelined-decode variant.
 // Every timed replay is cross-checked against the others — the bench
 // fails loudly if any pair of implementations disagrees on a single
 // counter.
@@ -50,29 +49,6 @@ namespace {
 
 std::string human(double refs_per_sec) {
   return fixed(refs_per_sec / 1e6, 1) + " Mref/s";
-}
-
-/// Order-sensitive FNV-1a over every counter of every plane, reduced to
-/// 32 bits so it round-trips exactly through the JSON doubles.  CI runs
-/// the bench once with FSOPT_SIMD=0 and once with it unset and diffs
-/// this fingerprint — any engine-path-dependent counter changes it.
-u32 fingerprint_stats(const std::vector<MissStats>& v) {
-  u64 h = 1469598103934665603ull;
-  auto mix = [&h](u64 x) {
-    h ^= x;
-    h *= 1099511628211ull;
-  };
-  for (const MissStats& s : v) {
-    mix(s.refs);
-    mix(s.hits);
-    mix(s.cold);
-    mix(s.replacement);
-    mix(s.true_sharing);
-    mix(s.false_sharing);
-    mix(s.upgrades);
-    mix(s.invalidations);
-  }
-  return static_cast<u32>(h ^ (h >> 32));
 }
 
 }  // namespace
@@ -133,16 +109,16 @@ int main(int argc, char** argv) {
   JsonReport json;
   json.add(workload, "refs", refs);
   json.add(workload, "cpus", static_cast<double>(cpus));
-  // The simd / pipeline sections below are schedule-dependent:
-  // their ratios only mean something next to the vector features and the
-  // core count of the host that produced them.
+  // The pipeline section below is schedule-dependent: its ratio only
+  // means something next to the core count of the host that produced
+  // it.
   json.meta("cpu_features", simd::cpu_features());
   json.meta("cpus", static_cast<double>(cpus));
   if (cpus == 1)
     json.meta("note",
-              std::string("single-core host: the pipeline speedup is an "
-                          "exactness check here; its parallel headroom "
-                          "needs >= 2 cores"));
+              std::string("single-core host: replay_pipelined falls back "
+                          "to serial decode, so the pipeline speedup is "
+                          "1.00x by construction"));
 
   // --- 1+2: serial flat vs. hash, plain and attributed ----------------
   TextTable serial({"block", "hash", "flat", "speedup", "hash+attr",
@@ -349,58 +325,10 @@ int main(int argc, char** argv) {
                 sweeps.render().c_str());
   }
 
-  // --- 3c: simd engine path, forced-scalar vs runtime-dispatched -------
-  // Cross-invocation timing drifts ~15% on shared hosts, so the scalar
-  // baseline and the dispatched engine run in one process: the engine
-  // snapshots the active kernel set at construction, and set_force_scalar
-  // flips which set a fresh engine picks up.  The two walks must agree on
-  // every counter of every plane — that fingerprint is also the value CI
-  // diffs across its FSOPT_SIMD=0 / unset runs.
-  {
-    EncodedTrace enc = encode_trace(trace);
-    std::vector<CacheParams> params;
-    for (i64 b : paper_block_sizes())
-      params.push_back({c.nprocs(), 32 * 1024, b, c.code.total_bytes});
-
-    simd::set_force_scalar(1);
-    MultiReplayResult m_scalar;
-    double t_scalar = best_of(repeats, [&] {
-      m_scalar = replay_multi(enc, params, nullptr, /*threads=*/1);
-    });
-    simd::set_force_scalar(-1);  // back to FSOPT_SIMD / detection
-    MultiReplayResult m_simd;
-    double t_simd = best_of(repeats, [&] {
-      m_simd = replay_multi(enc, params, nullptr, /*threads=*/1);
-    });
-    for (size_t i = 0; i < params.size(); ++i)
-      if (m_scalar.stats[i] != m_simd.stats[i])
-        mismatch("forced-scalar and dispatched engine stats",
-                 params[i].block_size);
-
-    const double nwork = refs * static_cast<double>(params.size());
-    std::printf("--- simd engine path (host: %s) ---\n",
-                simd::cpu_features().c_str());
-    TextTable st({"engine", "time", "throughput", "speedup"});
-    st.add_row({"forced scalar", fixed(t_scalar, 3) + "s",
-                human(nwork / t_scalar), "1.00"});
-    st.add_row({std::string(simd::level_name(simd::active_level())) +
-                    " kernels",
-                fixed(t_simd, 3) + "s", human(nwork / t_simd),
-                fixed(t_scalar / t_simd, 2) + "x"});
-    std::printf("%s\n", st.render().c_str());
-    json.add(workload, "simd_scalar_sec", t_scalar);
-    json.add(workload, "simd_active_sec", t_simd);
-    json.add(workload, "simd_speedup", t_scalar / t_simd);
-    json.add(workload, "simd_level_active",
-             static_cast<double>(static_cast<int>(simd::active_level())));
-    json.add(workload, "sweep_stats_fingerprint",
-             static_cast<double>(fingerprint_stats(m_simd.stats)));
-  }
-
   // --- 3d: pipelined chunk decode --------------------------------------
   // replay_pipelined overlaps the varint decode of chunk N+1 with the
-  // simulation of chunk N.  FSOPT_PIPELINE=1 forces the threaded path so
-  // the hand-off (and its bit-identity) is exercised even on one core;
+  // simulation of chunk N; replay() is the same stream decoded inline.
+  // On a single-core host replay_pipelined falls back to replay(), so
   // the speedup column is only meaningful with >= 2 cores.
   {
     EncodedTrace enc = encode_trace(trace);
@@ -408,19 +336,21 @@ int main(int argc, char** argv) {
     for (i64 b : paper_block_sizes())
       params.push_back({c.nprocs(), 32 * 1024, b, c.code.total_bytes});
 
-    setenv("FSOPT_PIPELINE", "0", 1);
-    MultiReplayResult m_serial;
-    double t_serial = best_of(repeats, [&] {
-      m_serial = replay_multi(enc, params, nullptr, /*threads=*/1);
-    });
-    setenv("FSOPT_PIPELINE", "1", 1);
-    MultiReplayResult m_pipe;
-    double t_pipe = best_of(repeats, [&] {
-      m_pipe = replay_multi(enc, params, nullptr, /*threads=*/1);
-    });
-    unsetenv("FSOPT_PIPELINE");
+    auto timed_replay = [&](auto&& drive, std::vector<MissStats>& out) {
+      return best_of(repeats, [&] {
+        MultiCacheSim sim(params);
+        drive(sim);
+        out.clear();
+        for (size_t i = 0; i < sim.planes(); ++i) out.push_back(sim.stats(i));
+      });
+    };
+    std::vector<MissStats> s_serial, s_pipe;
+    double t_serial =
+        timed_replay([&](MultiCacheSim& sim) { enc.replay(sim); }, s_serial);
+    double t_pipe = timed_replay(
+        [&](MultiCacheSim& sim) { enc.replay_pipelined(sim); }, s_pipe);
     for (size_t i = 0; i < params.size(); ++i)
-      if (m_serial.stats[i] != m_pipe.stats[i])
+      if (s_serial[i] != s_pipe[i])
         mismatch("serial-decode and pipelined-decode stats",
                  params[i].block_size);
 

@@ -5,7 +5,6 @@
 #include <cstdint>
 
 #include "obs/obs.h"
-#include "support/simd.h"
 #include "support/thread_pool.h"
 
 namespace fsopt {
@@ -87,11 +86,6 @@ bool plane_shareable(const CacheParams& p) {
 /// (a quarter of the u64 footprint, keeping the per-ref residency
 /// loads L1-resident); larger machines use u64.  The owning
 /// MultiCacheSim sees only this interface.
-///
-/// SIMD enters through support/simd.h's runtime dispatch (FSOPT_SIMD=0
-/// forces the scalar kernels): the per-miss extent scans (snapshot max,
-/// granule version resolve) call the dispatched kernels, which return
-/// bit-identical results to their scalar twins.
 struct MultiCacheSim::SharedPlanes {
   virtual ~SharedPlanes() = default;
   /// Process one batch and fold the tallies into the stats rows.
@@ -162,11 +156,6 @@ struct Engine final : MultiCacheSim::SharedPlanes {
           gi < colls.size() ? colls[gi] : nullptr;
     }
   }
-
-  // Kernel set snapshotted at construction (simd.h runtime dispatch):
-  // the per-miss extent scans call through it.  Snapshotting means one
-  // engine never mixes levels mid-replay.
-  simd::Kernels kern_{};
 
   /// Pre-reference state of the referenced words, shared by every
   /// plane's classification of the current reference (the referenced
@@ -435,14 +424,7 @@ MissKind Engine<MaskT>::miss_part(const Geom& g, int proc, MaskT bit,
   if (g.bw >= 16) {
     const u32* lg = lastg_.data() + static_cast<size_t>(proc) * G +
                     static_cast<size_t>(wb0 >> 4);
-    const i64 ng = g.bw >> 4;
-    if (ng >= 8) {
-      // Wide-block planes (>= 512B): one dispatched max over the
-      // granule row instead of a scalar reduction.
-      s = kern_.max_u32(lg, static_cast<size_t>(ng));
-    } else {
-      for (i64 i = 0; i < ng; ++i) s = std::max<u64>(s, lg[i]);
-    }
+    for (i64 i = 0; i < (g.bw >> 4); ++i) s = std::max<u64>(s, lg[i]);
   } else if (g.bw == 1) {
     s = rc_.l[wb0 - rc_.w0];  // single-word block: a referenced word
   } else {
@@ -493,11 +475,14 @@ MissKind Engine<MaskT>::miss_part(const Geom& g, int proc, MaskT bit,
       while (!any_remote && resolve != 0) {
         // Own writes are newest but an older foreign event passed the
         // filter; it may have been overwritten, so resolve from the
-        // granule's live word states (dispatched 16-word scan).
+        // granule's 16 live word states.
         const int i = std::countr_zero(resolve);
         resolve &= resolve - 1;
-        any_remote = kern_.any_version_newer(
-            ws + (static_cast<i64>(i) << 4), 16, newer, me, kWMask);
+        const u64* gw = ws + (static_cast<i64>(i) << 4);
+        u64 acc = 0;
+        for (int w = 0; w < 16; ++w)
+          acc |= static_cast<u64>(gw[w] >= newer && (gw[w] & kWMask) != me);
+        any_remote = acc != 0;
       }
     } else {
       // The covering granule's aggregate is a sound negative filter for
@@ -609,7 +594,6 @@ std::unique_ptr<MultiCacheSim::SharedPlanes> build_engine(
   e.plane_index_ = planes;
   e.sharers_.assign(blocks_total, 0);
   e.owner_.assign(blocks_total, -1);
-  e.kern_ = simd::active_kernels();
   return eng;
 }
 
@@ -740,7 +724,6 @@ MultiReplayResult replay_multi_impl(u64 trace_refs, ReplayFn&& replay,
     if (span.active()) {
       span.arg("planes", static_cast<double>(last - first));
       span.arg("refs", static_cast<double>(trace_refs));
-      span.arg("simd", simd::level_name(simd::active_level()));
       double sec = span.elapsed_seconds();
       if (sec > 0.0)
         span.arg("refs_per_sec", static_cast<double>(trace_refs) / sec);

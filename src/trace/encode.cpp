@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <condition_variable>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <mutex>
@@ -143,23 +142,6 @@ struct ChunkCursor {
 
 }  // namespace
 
-/// Replay hands the sink one sub-batch at a time: a whole decoded chunk
-/// (1 MB of MemRefs at the default chunk size) would fall out of cache
-/// between the decode and the sink's walk, while a sub-batch stays
-/// resident across the handoff.
-size_t replay_batch_refs() {
-  static const size_t cached = [] {
-    constexpr size_t kDefault = 4096;
-    const char* env = std::getenv("FSOPT_REPLAY_BATCH");
-    if (env == nullptr || env[0] == '\0') return kDefault;
-    char* end = nullptr;
-    const long long v = std::strtoll(env, &end, 10);
-    if (end == env || *end != '\0' || v <= 0) return kDefault;
-    return std::clamp<size_t>(static_cast<size_t>(v), 64, size_t{1} << 20);
-  }();
-  return cached;
-}
-
 void EncodedTrace::decode_chunk(size_t k, std::vector<MemRef>& out) const {
   const EncodedChunk& c = chunks_[k];
   out.resize(c.refs);
@@ -170,7 +152,7 @@ void EncodedTrace::decode_chunk(size_t k, std::vector<MemRef>& out) const {
 }
 
 void EncodedTrace::replay(TraceSink& sink) const {
-  std::vector<MemRef> scratch(replay_batch_refs());
+  std::vector<MemRef> scratch(kReplayBatchRefs);
   for (const EncodedChunk& c : chunks_) {
     ChunkCursor cur(c);
     while (!cur.done()) {
@@ -181,20 +163,12 @@ void EncodedTrace::replay(TraceSink& sink) const {
 }
 
 void EncodedTrace::replay_pipelined(TraceSink& sink) const {
-  const char* env = std::getenv("FSOPT_PIPELINE");
-  const bool forced_off = env != nullptr && env[0] == '0' && env[1] == '\0';
-  const bool forced_on = env != nullptr && env[0] == '1' && env[1] == '\0';
-  const bool threaded =
-      !forced_off && chunks_.size() >= 2 &&
-      (forced_on || std::thread::hardware_concurrency() >= 2);
-  if (!threaded) {
+  if (chunks_.size() < 2 || std::thread::hardware_concurrency() < 2) {
     // Nothing to overlap (or no spare hardware thread to decode on):
     // the serial path is the same stream without the hand-off cost.
     replay(sink);
     return;
   }
-
-  const size_t batch = replay_batch_refs();
 
   // Two rotating chunk buffers: the decoder fills one while the
   // consumer slices the other into replay()-identical sub-batches.
@@ -259,8 +233,9 @@ void EncodedTrace::replay_pipelined(TraceSink& sink) const {
         if (!s.full) break;  // decoder died; its error is rethrown below
       }
       obs::Span span("replay", "sim_chunk");
-      for (size_t off = 0; off < s.n; off += batch)
-        sink.on_batch(s.refs.data() + off, std::min(batch, s.n - off));
+      for (size_t off = 0; off < s.n; off += kReplayBatchRefs)
+        sink.on_batch(s.refs.data() + off,
+                      std::min(kReplayBatchRefs, s.n - off));
       if (span.active()) span.arg("refs", static_cast<double>(s.n));
       {
         std::lock_guard<std::mutex> lk(mu);

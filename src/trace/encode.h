@@ -65,7 +65,7 @@ class EncodedTrace {
 
   /// Deliver the whole stream, in order, to `sink`.  Each chunk is
   /// decoded incrementally through a resumable cursor and delivered in
-  /// sub-batches of replay_batch_refs() references, so peak extra
+  /// sub-batches of kReplayBatchRefs references, so peak extra
   /// memory is a fixed small scratch buffer regardless of trace or
   /// chunk size.
   void replay(TraceSink& sink) const;
@@ -77,9 +77,8 @@ class EncodedTrace {
   /// stream in the same sub-batch boundaries as replay() — only the
   /// wall-clock schedule changes — and is driven from the calling
   /// thread only.  Falls back to the serial replay() when there is
-  /// nothing to overlap (a single chunk), when the host has only one
-  /// hardware thread, or when FSOPT_PIPELINE=0; FSOPT_PIPELINE=1
-  /// forces the threaded path regardless of core count.
+  /// nothing to overlap (a single chunk) or when the host has only one
+  /// hardware thread.
   void replay_pipelined(TraceSink& sink) const;
 
  private:
@@ -126,11 +125,12 @@ class TraceEncoder : public TraceSink {
 EncodedTrace encode_trace(const TraceBuffer& trace,
                           size_t chunk_refs = TraceBuffer::kDefaultChunkRefs);
 
-/// References per replay sub-batch handed to the sink: FSOPT_REPLAY_BATCH
-/// (clamped to [64, 1M]), default 4096 — small enough that a decoded
-/// sub-batch is still cache-resident when the simulator walks it, large
-/// enough to amortize the per-batch virtual dispatch (see the bench's
-/// codec section for the measurement behind the default).  Parsed once.
-size_t replay_batch_refs();
+/// References per replay sub-batch handed to the sink: small enough
+/// that a decoded sub-batch (64 KB of MemRefs) is still cache-resident
+/// when the simulator walks it, where a whole decoded chunk (1 MB at
+/// the default chunk size) would fall out of cache between the decode
+/// and the walk; large enough to amortize the per-batch virtual
+/// dispatch.
+inline constexpr size_t kReplayBatchRefs = 4096;
 
 }  // namespace fsopt

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <climits>
-#include <cstdlib>
 #include <set>
 
 #include "lang/ast.h"
@@ -12,16 +11,6 @@
 #include "support/thread_pool.h"
 
 namespace fsopt {
-
-SearchBudget search_budget_from_env(SearchBudget base) {
-  if (const char* env = std::getenv("FSOPT_SEARCH_BUDGET")) {
-    char* end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v >= 0)
-      base.max_replays = static_cast<int>(v);
-  }
-  return base;
-}
 
 TransformPlan apply_search_move(const TransformPlan& plan,
                                 const TransformDecision& move) {

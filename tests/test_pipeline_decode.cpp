@@ -1,43 +1,22 @@
 // The pipelined decode (EncodedTrace::replay_pipelined) hands the sink
 // the SAME stream as the serial replay(): same references, same order,
 // same sub-batch boundaries — only the wall-clock schedule of the
-// decode changes.  These tests force the threaded path with
-// FSOPT_PIPELINE=1 (the 1-core CI host would otherwise fall back to
-// serial) and diff the delivered stream and the end-to-end replay stats
-// against FSOPT_PIPELINE=0.  Run under TSan in CI to check the
-// double-buffer hand-off for races.
+// decode changes.  These tests diff the delivered stream and the replay
+// stats of replay_pipelined() against replay().  The threaded path
+// needs at least two chunks and two hardware threads, so the tests that
+// exercise it skip on a single-thread host.  Run under TSan in CI to
+// check the double-buffer hand-off for races.
 #include "trace/encode.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <thread>
 #include <vector>
 
 #include "sim/multi.h"
 
 namespace fsopt {
 namespace {
-
-/// Pins FSOPT_PIPELINE for one scope and restores the prior value.
-class PipelineEnvGuard {
- public:
-  explicit PipelineEnvGuard(const char* value) {
-    const char* old = std::getenv("FSOPT_PIPELINE");
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    setenv("FSOPT_PIPELINE", value, 1);
-  }
-  ~PipelineEnvGuard() {
-    if (had_)
-      setenv("FSOPT_PIPELINE", saved_.c_str(), 1);
-    else
-      unsetenv("FSOPT_PIPELINE");
-  }
-
- private:
-  std::string saved_;
-  bool had_ = false;
-};
 
 /// Records every delivered reference and every sub-batch boundary.
 struct RecordingSink : TraceSink {
@@ -74,20 +53,21 @@ EncodedTrace seeded_trace(int nrefs, size_t chunk_refs) {
   return encode_trace(raw, chunk_refs);
 }
 
-TEST(PipelineDecode, ForcedThreadedDeliversIdenticalStream) {
+/// The threaded path runs only with a spare hardware thread to decode on.
+bool threaded_path_available() {
+  return std::thread::hardware_concurrency() >= 2;
+}
+
+TEST(PipelineDecode, ThreadedDeliversIdenticalStream) {
+  if (!threaded_path_available())
+    GTEST_SKIP() << "fewer than 2 hardware threads: no threaded path";
   EncodedTrace trace = seeded_trace(50000, /*chunk_refs=*/512);
   ASSERT_GE(trace.chunk_count(), 2u);
 
   RecordingSink serial;
-  {
-    PipelineEnvGuard env("0");
-    trace.replay_pipelined(serial);
-  }
+  trace.replay(serial);
   RecordingSink threaded;
-  {
-    PipelineEnvGuard env("1");
-    trace.replay_pipelined(threaded);
-  }
+  trace.replay_pipelined(threaded);
   ASSERT_EQ(serial.refs.size(), threaded.refs.size());
   ASSERT_EQ(serial.refs.size(), trace.size());
   for (size_t i = 0; i < serial.refs.size(); ++i)
@@ -100,26 +80,23 @@ TEST(PipelineDecode, SingleChunkFallsBackToSerial) {
   EncodedTrace trace = seeded_trace(300, /*chunk_refs=*/4096);
   ASSERT_EQ(trace.chunk_count(), 1u);
   RecordingSink sink;
-  PipelineEnvGuard env("1");
   trace.replay_pipelined(sink);  // must not deadlock or drop refs
   EXPECT_EQ(sink.refs.size(), trace.size());
 }
 
 TEST(PipelineDecode, ReplayStatsIdenticalPipelinedVsSerial) {
+  if (!threaded_path_available())
+    GTEST_SKIP() << "fewer than 2 hardware threads: no threaded path";
   EncodedTrace trace = seeded_trace(40000, /*chunk_refs=*/1024);
   std::vector<CacheParams> params;
   for (i64 b : {4, 32, 256}) params.push_back({8, 8192, b, 1 << 15});
 
-  MultiReplayResult off, on;
-  {
-    PipelineEnvGuard env("0");
-    off = replay_multi(trace, params);
-  }
-  {
-    PipelineEnvGuard env("1");
-    on = replay_multi(trace, params);
-  }
-  EXPECT_EQ(off.stats, on.stats);
+  MultiCacheSim serial(params);
+  trace.replay(serial);
+  MultiCacheSim threaded(params);
+  trace.replay_pipelined(threaded);
+  for (size_t p = 0; p < params.size(); ++p)
+    EXPECT_EQ(serial.stats(p), threaded.stats(p)) << "plane " << p;
 }
 
 }  // namespace

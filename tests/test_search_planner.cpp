@@ -10,7 +10,7 @@
 // and the beam regime), graceful degradation at budget 0, bit-identical
 // results across replay and search thread counts and repeated runs (the
 // speculate/commit scoring, including a perfect candidate that ends a
-// round early), the FSOPT_SEARCH_BUDGET override, a property-fuzz pass
+// round early), a property-fuzz pass
 // over random budgets (FSOPT_FUZZ_ITERS scales it), the seed score that
 // search_plan reuses from its repair loop, and the kFieldReorder path:
 // planner emission, JSON round-trip and plan re-injection producing
@@ -337,16 +337,6 @@ TEST(SearchBudgetTest, ZeroBudgetDegradesToSeed) {
   EXPECT_EQ(r.frontier, std::vector<size_t>{0});
   // The winner *is* the seed, decision for decision.
   EXPECT_EQ(key_of(r.best().plan), key_of(h.empty_base));
-}
-
-TEST(SearchBudgetTest, EnvOverrideParsesAndIgnoresGarbage) {
-  ASSERT_EQ(setenv("FSOPT_SEARCH_BUDGET", "7", 1), 0);
-  EXPECT_EQ(search_budget_from_env().max_replays, 7);
-  ASSERT_EQ(setenv("FSOPT_SEARCH_BUDGET", "-3", 1), 0);
-  EXPECT_EQ(search_budget_from_env().max_replays, SearchBudget{}.max_replays);
-  ASSERT_EQ(setenv("FSOPT_SEARCH_BUDGET", "nope", 1), 0);
-  EXPECT_EQ(search_budget_from_env().max_replays, SearchBudget{}.max_replays);
-  unsetenv("FSOPT_SEARCH_BUDGET");
 }
 
 // ---------------------------------------------------------------------------

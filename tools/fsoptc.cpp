@@ -5,7 +5,8 @@
 //
 //   --nprocs N          number of processes (overrides param NPROCS)
 //   --param NAME=VALUE  override any compile-time parameter (repeatable)
-//   --block N           coherence-unit size targeted by transforms (128)
+//   --block N           coherence-unit size targeted by transforms (128;
+//                       1..4096 bytes, the range a plan file may use)
 //   --no-optimize       skip the transformations (unoptimized layout)
 //   --workload NAME     compile a built-in workload (workloads/) instead
 //                       of a file, with its simulation problem sizes and
@@ -27,8 +28,8 @@
 //                       ranked by (false-sharing misses, spatial-locality
 //                       loss) with deterministic tie-breaks
 //   --search-budget N   max candidate replays for --planner search beyond
-//                       the seed (default 24; FSOPT_SEARCH_BUDGET env is
-//                       the fallback; 0 degrades to the graph plan)
+//                       the seed (default 24; 0 degrades to the graph
+//                       plan)
 //   --pareto-out PATH   write the search record as versioned JSON
 //                       (search_version 1): best plan overall, best plan
 //                       per swept block size, and the Pareto frontier
@@ -47,7 +48,8 @@
 //   --transforms        print the transformation decisions
 //   --rewrite           print the runnable source-to-source output
 //   --run               execute and report reference counts
-//   --miss [B,B,...]    trace-driven miss study (default 16,128)
+//   --miss [B,B,...]    trace-driven miss study (default 16,128; each
+//                       block size in 1..4096 bytes)
 //   --ksr               execution time under the KSR2 model
 //   --diagnose[=json]   per-datum diagnosis (analysis/diagnose.h): miss
 //                       classes, access-pattern taxonomy label, conflict-
@@ -77,6 +79,7 @@
 //   FILE:LINE:COL: error: MESSAGE
 // and exit with status 1.
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -87,6 +90,7 @@
 #include "driver/experiment.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
+#include "transform/plan_ir.h"
 #include "transform/source_rewrite.h"
 #include "workloads/workloads.h"
 
@@ -105,7 +109,7 @@ struct Cli {
   std::string plan_in;
   std::string conflict_graph_out;
   std::string pareto_out;
-  int search_budget = -1;  // -1: FSOPT_SEARCH_BUDGET env, else default
+  int search_budget = -1;  // -1: SearchBudget's default
   bool plan_diff = false;
   bool report = false;
   bool transforms = false;
@@ -140,6 +144,19 @@ struct Cli {
   std::exit(2);
 }
 
+/// A block size from the command line: a whole number of bytes in
+/// 1..kMaxPlanBlockBytes, the range plan_parameter_errors applies to a
+/// plan file's block_size.  Anything else is a usage error.
+i64 parse_block_bytes(const std::string& tok, const std::string& flag) {
+  char* end = nullptr;
+  const long long v = std::strtoll(tok.c_str(), &end, 10);
+  if (tok.empty() || *end != '\0' || v < 1 || v > kMaxPlanBlockBytes)
+    usage((flag + " expects block sizes in 1.." +
+           std::to_string(kMaxPlanBlockBytes) + " bytes, got '" + tok + "'")
+              .c_str());
+  return v;
+}
+
 Cli parse_cli(int argc, char** argv) {
   Cli cli;
   for (int i = 1; i < argc; ++i) {
@@ -157,7 +174,7 @@ Cli parse_cli(int argc, char** argv) {
       cli.options.overrides[kv.substr(0, eq)] =
           std::atoll(kv.c_str() + eq + 1);
     } else if (a == "--block") {
-      cli.options.block_size = std::atoll(next().c_str());
+      cli.options.block_size = parse_block_bytes(next(), a);
       cli.block_given = true;
     } else if (a == "--no-optimize") {
       cli.optimize = false;
@@ -197,7 +214,7 @@ Cli parse_cli(int argc, char** argv) {
         std::stringstream ss(next());
         std::string tok;
         while (std::getline(ss, tok, ','))
-          cli.blocks.push_back(std::atoll(tok.c_str()));
+          cli.blocks.push_back(parse_block_bytes(tok, a));
       }
     } else if (a == "--ksr") {
       cli.ksr = true;
@@ -349,7 +366,6 @@ int main(int argc, char** argv) {
     } else if (cli.planner == "search") {
       SearchPlanOptions so;
       so.seed.block_size = cli.options.block_size;
-      so.budget = search_budget_from_env();
       if (cli.search_budget >= 0) so.budget.max_replays = cli.search_budget;
       SearchPlanResult sr = search_plan(source, cli.options, so);
       c = std::move(sr.final_compiled);
