@@ -155,6 +155,17 @@ EncodedTrace record_encoded_trace(const Compiled& c) {
 
 namespace {
 
+/// One CacheParams plane per studied block size.
+std::vector<CacheParams> study_params(const Compiled& c,
+                                      const std::vector<i64>& block_sizes,
+                                      i64 l1_bytes) {
+  std::vector<CacheParams> params;
+  params.reserve(block_sizes.size());
+  for (i64 b : block_sizes)
+    params.push_back({c.nprocs(), l1_bytes, b, c.code.total_bytes});
+  return params;
+}
+
 /// Study body shared by the raw and encoded trace overloads (`Trace` is
 /// TraceBuffer or EncodedTrace, both of which replay_multi accepts).
 template <typename Trace>
@@ -170,10 +181,6 @@ TraceStudyResult replay_trace_study_impl(const Trace& trace,
   out.refs = trace.size();
   const size_t nconf = block_sizes.size();
   if (nconf == 0) return out;
-  std::vector<CacheParams> params(nconf);
-  for (size_t i = 0; i < nconf; ++i)
-    params[i] = CacheParams{c.nprocs(), l1_bytes, block_sizes[i],
-                            c.code.total_bytes};
 
   // Every block size is a plane of one multi-replay, so the stream is
   // walked once per plane group instead of once per configuration.
@@ -182,7 +189,8 @@ TraceStudyResult replay_trace_study_impl(const Trace& trace,
   // per-configuration replays for any thread count.
   std::vector<ConflictGraph> graphs;
   MultiReplayResult multi =
-      replay_multi(trace, params, attribution, threads,
+      replay_multi(trace, study_params(c, block_sizes, l1_bytes),
+                   attribution, threads,
                    collect_conflicts ? &graphs : nullptr);
   for (size_t i = 0; i < nconf; ++i) {
     out.by_block[block_sizes[i]] = multi.stats[i];
@@ -193,6 +201,23 @@ TraceStudyResult replay_trace_study_impl(const Trace& trace,
   }
   return out;
 }
+
+/// The streamed study's sink: the interpreter's staged batches go
+/// straight into the multi-plane simulator on the interpreting thread.
+/// Each batch's simulation is its own replay span, nested in the record
+/// span, so a trace still splits interpretation from simulation.
+class StudySink final : public TraceSink {
+ public:
+  explicit StudySink(MultiCacheSim& sim) : sim_(sim) {}
+  void on_ref(const MemRef& ref) override { on_batch(&ref, 1); }
+  void on_batch(const MemRef* refs, size_t n) override {
+    obs::Span span("replay", "stream");
+    sim_.on_batch(refs, n);
+  }
+
+ private:
+  MultiCacheSim& sim_;
+};
 
 }  // namespace
 
@@ -220,10 +245,43 @@ TraceStudyResult run_trace_study(const Compiled& c,
                                  const std::vector<i64>& block_sizes,
                                  i64 l1_bytes,
                                  const AddressMap* attribution,
-                                 int threads, bool collect_conflicts) {
-  EncodedTrace trace = record_encoded_trace(c);
-  return replay_trace_study(trace, c, block_sizes, l1_bytes, attribution,
-                            threads, collect_conflicts);
+                                 int /*threads*/, bool collect_conflicts) {
+  TraceStudyResult out;
+  if (block_sizes.empty()) {
+    out.refs = run_program(c)->refs();
+    return out;
+  }
+  MultiCacheSim sim(study_params(c, block_sizes, l1_bytes), attribution);
+  std::vector<ConflictCollector> colls;
+  if (collect_conflicts) {
+    colls.resize(block_sizes.size());
+    std::vector<ConflictCollector*> ptrs;
+    for (ConflictCollector& coll : colls) ptrs.push_back(&coll);
+    sim.set_conflict_collectors(ptrs);
+  }
+  {
+    obs::Span span("record", "stream_study");
+    StudySink sink(sim);
+    MachineOptions mo;
+    mo.sink = &sink;
+    Machine machine(c.code, mo);
+    machine.run();
+    out.refs = machine.refs();
+    if (span.active()) {
+      span.arg("refs", static_cast<double>(out.refs));
+      span.arg("nprocs", static_cast<double>(c.nprocs()));
+      span.arg("planes", static_cast<double>(block_sizes.size()));
+    }
+  }
+  obs::Span span("replay", "stream_results");
+  for (size_t i = 0; i < block_sizes.size(); ++i) {
+    const i64 b = block_sizes[i];
+    out.by_block[b] = sim.stats(i);
+    if (attribution != nullptr) out.by_datum[b] = sim.by_datum(i);
+    if (collect_conflicts) out.conflicts[b] = colls[i].graph(b);
+    note_plane_span(b, out.by_block[b]);
+  }
+  return out;
 }
 
 FalseSharingProfile build_fs_profile(const TraceStudyResult& study,
@@ -343,8 +401,8 @@ RepairResult repair_loop(std::string_view source, const CompileOptions& base,
   out.static_plan = current.transforms;
 
   AddressMap am = build_address_map(current);
-  TraceStudyResult study = run_trace_study(current, blocks, opt.l1_bytes,
-                                           &am, opt.threads, graph);
+  TraceStudyResult study =
+      run_trace_study(current, blocks, opt.l1_bytes, &am, 0, graph);
   out.baseline = study.at(opt.block_size);
   out.baseline_by_datum = study.by_datum[opt.block_size];
   for (i64 b : blocks) out.baseline_sweep[b] = study.at(b);
@@ -392,8 +450,8 @@ RepairResult repair_loop(std::string_view source, const CompileOptions& base,
 
     // Verify: re-trace under the new layout and re-attribute.
     AddressMap cand_am = build_address_map(cand);
-    TraceStudyResult cand_study = run_trace_study(
-        cand, blocks, opt.l1_bytes, &cand_am, opt.threads, graph);
+    TraceStudyResult cand_study =
+        run_trace_study(cand, blocks, opt.l1_bytes, &cand_am, 0, graph);
 
     if (graph) {
       // Multi-size acceptance: the candidate must strictly reduce the
@@ -521,18 +579,18 @@ SearchPlanResult search_plan(std::string_view source,
               });
   }
 
-  // Candidate evaluation: recompile against the shared front, record
-  // the trace once, replay every swept size in a single pass.  The
-  // search scores candidates concurrently on the shared pool — that is
-  // where its threads go — so each replay runs on its own worker with
-  // one thread.  The replay engine is bit-identical for any thread
-  // count, so the whole search is too.
+  // Candidate evaluation: recompile against the shared front and stream
+  // one run into every swept size at once.  The search scores
+  // candidates concurrently on the shared pool — that is where its
+  // threads go — and each study runs on the worker that scores it.  A
+  // study's result does not depend on the thread it runs on, so the
+  // whole search is bit-identical for any thread count.
   PlanEvaluator evaluate = [&](const TransformPlan& p) {
     CompileOptions cand_opt = copt;
     cand_opt.plan = std::make_shared<TransformPlan>(p);
     Compiled cand = run_back(front, cand_opt);
     TraceStudyResult study =
-        run_trace_study(cand, blocks, sopt.l1_bytes, nullptr, 1);
+        run_trace_study(cand, blocks, sopt.l1_bytes, nullptr);
     return plan_score(study.by_block, blocks, cand.layout.total_bytes());
   };
 

@@ -1,13 +1,14 @@
 // Experiment harness shared by the benchmarks, tests and examples.
 //
-// The pipeline is record-once / replay-many: one interpreter run records
-// the reference stream into a TraceBuffer; every cache configuration
-// (block size) then replays that recorded trace into its own simulator.
-// All block sizes are simulated in one pass over the trace (sim/multi.h),
-// with the configuration planes divided among the pool's workers; the
-// compile+run timing jobs of a processor-count sweep fan out the same
-// way.  Each job owns its simulator and writes into its own result slot,
-// so results are bit-identical for any thread count.
+// One interpreter run per study serves every cache configuration (block
+// size): all block sizes are planes of one multi-plane simulation
+// (sim/multi.h).  run_trace_study streams the interpreter's references
+// straight into that simulator on the calling thread; record_encoded_trace
+// + replay_trace_study keep a compressed recording instead and divide the
+// planes among the pool's workers, for callers that replay one trace more
+// than once.  The compile+run timing jobs of a processor-count sweep fan
+// out over the pool too.  Each job owns its simulator and writes into its
+// own result slot, so results are bit-identical for any thread count.
 #pragma once
 
 #include <map>
@@ -92,9 +93,13 @@ TraceStudyResult replay_trace_study(const EncodedTrace& trace,
                                     int threads = 0,
                                     bool collect_conflicts = false);
 
-/// record_encoded_trace + replay_trace_study: the interpreter executes
-/// exactly once however many block sizes are studied, the recording is
-/// held compressed, and the replay walks it once for all block sizes.
+/// The streamed study: the interpreter executes exactly once however
+/// many block sizes are studied, and its reference stream feeds one
+/// MultiCacheSim (all block sizes as planes, with any attribution and
+/// conflict collectors) batch by batch on the calling thread.  No trace
+/// is stored and no thread is started.  Results equal
+/// replay_trace_study(record_encoded_trace(c), ...) at any thread count.
+/// `threads` is ignored; it stays in the signature for existing callers.
 TraceStudyResult run_trace_study(const Compiled& c,
                                  const std::vector<i64>& block_sizes,
                                  i64 l1_bytes = 32 * 1024,
@@ -168,7 +173,9 @@ struct RepairLoopOptions {
   /// included.
   std::vector<i64> sweep_blocks;
   i64 l1_bytes = 32 * 1024;
-  /// Worker threads for the replays (0 = experiment_threads()).
+  /// How many search candidates search_plan scores at once (0 =
+  /// experiment_threads()).  The loop's own studies stream on the
+  /// calling thread.
   int threads = 0;
 };
 
@@ -230,9 +237,9 @@ RepairResult repair_loop(std::string_view source, const CompileOptions& base,
 // evaluated candidates and the seed is always evaluated.  The seed's
 // score is the repair loop's own last sweep, not a second replay.  Every
 // further candidate is compiled against the same shared front half
-// (symbol ids stay stable, so plans remain valid), its trace recorded
-// once, and all swept block sizes replayed in a single pass
-// (replay_multi); the candidates of one beam round are scored
+// (symbol ids stay stable, so plans remain valid) and run once, its
+// references streamed into all swept block sizes at once
+// (run_trace_study); the candidates of one beam round are scored
 // concurrently on the shared pool.
 // ---------------------------------------------------------------------------
 
@@ -240,7 +247,7 @@ struct SearchPlanOptions {
   /// The seeding repair loop (planner_name is forced to "graph"; its
   /// block_size / sweep_blocks / l1_bytes also govern the candidate
   /// evaluations, and its `threads` is how many candidates are scored at
-  /// once, each replaying on one thread).
+  /// once, each streaming its study on its own worker).
   RepairLoopOptions seed;
   SearchBudget budget;
 };

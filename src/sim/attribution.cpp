@@ -1,5 +1,7 @@
 #include "sim/attribution.h"
 
+#include <bit>
+
 #include "support/json.h"
 
 namespace fsopt {
@@ -44,23 +46,57 @@ void AddressMap::rebuild_index() {
   }
 }
 
+void ConflictCollector::grow() {
+  std::vector<Slot> old = std::move(slots_);
+  const size_t cap = old.empty() ? 1024 : 2 * old.size();
+  slots_.assign(cap, Slot{});
+  shift_ = 64 - std::countr_zero(cap);
+  size_ = 0;
+  for (const Slot& s : old)
+    if (s.key != kEmpty) add(s.key, s.weight);
+}
+
+ConflictEdge ConflictCollector::unpack(u64 key, u64 weight) {
+  const u64 proc_mask = (u64{1} << kProcBits) - 1;
+  const i64 writer = static_cast<i64>(key >> kWordShift);
+  const i64 delta = static_cast<i64>((key >> kDeltaShift) &
+                                     ((u64{1} << kDeltaBits) - 1)) -
+                    kMaxDelta;
+  return {writer * 4, (writer + delta) * 4,
+          static_cast<int>((key >> kProcBits) & proc_mask),
+          static_cast<int>(key & proc_mask), weight};
+}
+
 ConflictGraph ConflictCollector::graph(i64 block_size) const {
   FSOPT_CHECK(block_size > 0 && (block_size & (block_size - 1)) == 0,
               "conflict graph block size must be a power of two");
+  const int bshift = std::countr_zero(static_cast<u64>(block_size));
+  // Bucket by the victim word (the missing side).  Both endpoints of a
+  // false-sharing conflict normally lie in one block, which makes key
+  // order line-major already; the line leads the sort key anyway, so a
+  // victim whose reference spans two blocks still lands in its own line.
+  struct Edge {
+    i64 line;
+    u64 key;
+    u64 weight;
+  };
+  std::vector<Edge> edges;
+  edges.reserve(size_);
+  for (const Slot& s : slots_)
+    if (s.key != kEmpty)
+      edges.push_back({unpack(s.key, 0).victim_word >> bshift, s.key,
+                       s.weight});
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    return a.line != b.line ? a.line < b.line : a.key < b.key;
+  });
+
   ConflictGraph g;
   g.block_size = block_size;
-  // edges_ iterates in key order (writer word major), so a map keyed by
-  // line keeps both the line list and each line's edge list sorted.
-  std::map<i64, std::vector<ConflictEdge>> lines;
-  for (const auto& [k, w] : edges_) {
-    // Both endpoints of a false-sharing conflict lie in the same block;
-    // bucket by the victim word (the missing side).
-    i64 line = k.victim_word / block_size;
-    lines[line].push_back(
-        {k.writer_word, k.victim_word, k.writer_proc, k.victim_proc, w});
+  for (const Edge& e : edges) {
+    if (g.lines.empty() || g.lines.back().line != e.line)
+      g.lines.push_back({e.line, {}});
+    g.lines.back().edges.push_back(unpack(e.key, e.weight));
   }
-  g.lines.reserve(lines.size());
-  for (auto& [line, edges] : lines) g.lines.push_back({line, std::move(edges)});
   return g;
 }
 

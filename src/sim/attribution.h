@@ -7,7 +7,6 @@
 #pragma once
 
 #include <algorithm>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -84,6 +83,7 @@ struct LineConflicts {
   i64 line = 0;  // block index: word byte address >> log2(block size)
   std::vector<ConflictEdge> edges;
 
+  bool operator==(const LineConflicts&) const = default;
   u64 weight() const {
     u64 w = 0;
     for (const ConflictEdge& e : edges) w += e.weight;
@@ -99,6 +99,7 @@ struct ConflictGraph {
   i64 block_size = 0;
   std::vector<LineConflicts> lines;
 
+  bool operator==(const ConflictGraph&) const = default;
   bool empty() const { return lines.empty(); }
   u64 total_weight() const {
     u64 w = 0;
@@ -113,35 +114,97 @@ struct ConflictGraph {
 /// the words per block scanned by the caller), not the reference count.
 /// Collectors are attached explicitly and default to absent everywhere,
 /// which keeps the disabled replay paths untouched.
+///
+/// Edges live in an open-addressing hash table (linear probing, load
+/// factor at most 1/2) keyed by one packed u64, most significant first:
+///
+///   writer word index (byte address / 4)         39 bits
+///   victim - writer word delta, + kMaxDelta      11 bits
+///   writer proc                                   7 bits
+///   victim proc                                   7 bits
+///
+/// The endpoints of a false-sharing edge lie in one block (or, for a
+/// victim reference spanning two blocks, a few words apart across their
+/// boundary), and blocks are at most 4096 B, so the delta fits in ±1023
+/// words.  Packed keys
+/// compare in the (writer_word, victim_word, writer_proc, victim_proc)
+/// order graph() emits.  record() throws InternalError on an edge the
+/// packing cannot hold (an unaligned or negative word address, a delta
+/// of 1024 words or more, a processor outside 0..127).
 class ConflictCollector {
  public:
+  static constexpr i64 kMaxDelta = 1023;  // words; 4096 B blocks
+  static constexpr int kMaxProcs = 128;
+
   void record(i64 writer_word, int writer_proc, i64 victim_word,
               int victim_proc, u64 weight = 1) {
-    edges_[Key{writer_word, victim_word, writer_proc, victim_proc}] += weight;
+    const i64 delta = (victim_word >> 2) - (writer_word >> 2);
+    FSOPT_CHECK(writer_word >= 0 && victim_word >= 0 &&
+                    ((writer_word | victim_word) & 3) == 0 &&
+                    (writer_word >> 2) < (i64{1} << kWordBits) &&
+                    delta >= -kMaxDelta && delta <= kMaxDelta &&
+                    static_cast<unsigned>(writer_proc) < kMaxProcs &&
+                    static_cast<unsigned>(victim_proc) < kMaxProcs,
+                "conflict edge outside the collector's packed range");
+    add(static_cast<u64>(writer_word >> 2) << kWordShift |
+            static_cast<u64>(delta + kMaxDelta) << kDeltaShift |
+            static_cast<u64>(writer_proc) << kProcBits |
+            static_cast<u64>(victim_proc),
+        weight);
   }
 
-  bool empty() const { return edges_.empty(); }
-  void clear() { edges_.clear(); }
+  bool empty() const { return size_ == 0; }
+  void clear() {
+    slots_.clear();
+    size_ = 0;
+  }
 
   /// Snapshot the accumulated edges as a per-line-bucketed graph for
-  /// `block_size` (power of two).  Deterministic: edges sort by the
-  /// (writer_word, victim_word, writer_proc, victim_proc) key.
+  /// `block_size` (power of two).  Deterministic: lines ascend, and each
+  /// line's edges sort by the (writer_word, victim_word, writer_proc,
+  /// victim_proc) key.
   ConflictGraph graph(i64 block_size) const;
 
  private:
-  struct Key {
-    i64 writer_word;
-    i64 victim_word;
-    int writer_proc;
-    int victim_proc;
-    bool operator<(const Key& o) const {
-      if (writer_word != o.writer_word) return writer_word < o.writer_word;
-      if (victim_word != o.victim_word) return victim_word < o.victim_word;
-      if (writer_proc != o.writer_proc) return writer_proc < o.writer_proc;
-      return victim_proc < o.victim_proc;
-    }
+  static constexpr int kProcBits = 7;
+  static constexpr int kDeltaBits = 11;
+  static constexpr int kDeltaShift = 2 * kProcBits;
+  static constexpr int kWordShift = kDeltaShift + kDeltaBits;
+  static constexpr int kWordBits = 64 - kWordShift;
+  // The delta field never holds 2047, so the all-ones key is never a
+  // real edge.
+  static constexpr u64 kEmpty = ~u64{0};
+
+  struct Slot {
+    u64 key = kEmpty;
+    u64 weight = 0;
   };
-  std::map<Key, u64> edges_;
+
+  void add(u64 key, u64 weight) {
+    if (2 * size_ >= slots_.size()) grow();
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = slot_of(key);; i = (i + 1) & mask) {
+      Slot& s = slots_[i];
+      if (s.key == key) {
+        s.weight += weight;
+        return;
+      }
+      if (s.key == kEmpty) {
+        s = {key, weight};
+        ++size_;
+        return;
+      }
+    }
+  }
+  size_t slot_of(u64 key) const {
+    return static_cast<size_t>((key * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+  void grow();
+  static ConflictEdge unpack(u64 key, u64 weight);
+
+  std::vector<Slot> slots_;  // power-of-two capacity, or empty
+  size_t size_ = 0;
+  int shift_ = 64;  // 64 - log2(capacity)
 };
 
 /// JSON dump of a conflict graph.  With a non-null AddressMap each word

@@ -669,6 +669,17 @@ void MultiCacheSim::set_conflict_collectors(
     cache.set_conflict_collector(colls[idx]);
 }
 
+void note_plane_span(i64 block_size, const MissStats& stats) {
+  obs::Span plane("replay", "plane");
+  if (!plane.active()) return;
+  plane.arg("block", static_cast<double>(block_size));
+  plane.arg("refs", static_cast<double>(stats.refs));
+  plane.arg("cold", static_cast<double>(stats.cold));
+  plane.arg("replacement", static_cast<double>(stats.replacement));
+  plane.arg("true_sharing", static_cast<double>(stats.true_sharing));
+  plane.arg("false_sharing", static_cast<double>(stats.false_sharing));
+}
+
 namespace {
 
 /// Shared by both replay_multi overloads: fan the planes out over up to
@@ -728,21 +739,8 @@ MultiReplayResult replay_multi_impl(u64 trace_refs, ReplayFn&& replay,
       if (sec > 0.0)
         span.arg("refs_per_sec", static_cast<double>(trace_refs) / sec);
     }
-    // One span per plane carrying its block size and miss mix, so a
-    // sweep's per-configuration behaviour reads straight off the trace
-    // even though the planes were simulated in one walk.
-    for (size_t p = first; p < last; ++p) {
-      obs::Span plane("replay", "plane");
-      if (!plane.active()) break;
-      plane.arg("block", static_cast<double>(params[p].block_size));
-      plane.arg("refs", static_cast<double>(out.stats[p].refs));
-      plane.arg("cold", static_cast<double>(out.stats[p].cold));
-      plane.arg("replacement", static_cast<double>(out.stats[p].replacement));
-      plane.arg("true_sharing",
-                static_cast<double>(out.stats[p].true_sharing));
-      plane.arg("false_sharing",
-                static_cast<double>(out.stats[p].false_sharing));
-    }
+    for (size_t p = first; p < last; ++p)
+      note_plane_span(params[p].block_size, out.stats[p]);
   });
   return out;
 }

@@ -116,6 +116,12 @@ class MultiCacheSim : public TraceSink {
   std::vector<std::vector<MissStats>> datum_stats_;  // [plane][slot]
 };
 
+/// One zero-length "replay"/"plane" trace span carrying a plane's block
+/// size and miss mix, so a sweep's per-configuration behaviour reads
+/// straight off the trace even though the planes were simulated in one
+/// walk.  No-op when tracing is off.
+void note_plane_span(i64 block_size, const MissStats& stats);
+
 /// Walk `trace` once and simulate every configuration in `params`
 /// simultaneously.  With `threads` > 1 the planes are divided among up
 /// to min(threads, planes) workers, each walking the (cheap, encoded)

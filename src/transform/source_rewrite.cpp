@@ -51,12 +51,25 @@ class SourceRewriter {
  private:
   // -------------------------------------------------------------- rules --
   void skip(const TransformDecision& d, const std::string& why) {
-    result_.skipped.push_back(
-        prog_.globals[static_cast<size_t>(d.datum.sym)]->name + ": " + why);
+    std::string name = kBarrierName;
+    if (d.datum.sym != kBarrierSym) {
+      const GlobalSym& g = *prog_.globals[static_cast<size_t>(d.datum.sym)];
+      name = g.name;
+      if (d.datum.field >= 0)
+        name += "." +
+                g.elem.strct->fields[static_cast<size_t>(d.datum.field)].name;
+    }
+    result_.skipped.push_back(name + ": " + why);
   }
 
   void build_rules() {
     for (const TransformDecision& d : transforms_.decisions) {
+      // The barrier words are not a global of the program: striding them
+      // is a layout-only decision with no PPL spelling.
+      if (d.datum.sym == kBarrierSym) {
+        skip(d, "barrier striding not expressible in PPL");
+        continue;
+      }
       const GlobalSym& g =
           *prog_.globals[static_cast<size_t>(d.datum.sym)];
       i64 eb = elem_bytes(g);
@@ -130,6 +143,15 @@ class SourceRewriter {
           }
           break;
         }
+        case TransformKind::kFieldReorder:
+          skip(d, "field reorder not rendered in PPL");
+          continue;
+        case TransformKind::kHotColdSplit:
+          skip(d, "hot/cold split not rendered in PPL");
+          continue;
+        case TransformKind::kIntraPad:
+          skip(d, "intra-datum padding not rendered in PPL");
+          continue;
         case TransformKind::kNone:
           continue;
       }

@@ -18,7 +18,9 @@
 // plus alignment filler so every padded object starts on a coherence-unit
 // boundary.  Every access in every function body is rewritten
 // accordingly.  Decisions whose shapes have no PPL expression (blocked
-// 2-D chunks) are skipped and reported in `notes`.
+// 2-D chunks) are skipped and reported in `skipped`, as are the
+// intra-datum kinds (field reorder, hot/cold split, intra-pad), which are
+// not rendered yet, and barrier striding, which has no PPL form.
 #pragma once
 
 #include <string>

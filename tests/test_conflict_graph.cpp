@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+#include <tuple>
+
 #include "analysis/sideeffect.h"
 #include "driver/experiment.h"
 #include "lang/sema.h"
@@ -72,6 +76,85 @@ Ctx analyze(std::string_view src) {
 // ---------------------------------------------------------------------------
 // Collection
 // ---------------------------------------------------------------------------
+
+// The packed hash-table collector against the plain ordered-map
+// accumulation it replaced: key (writer_word, victim_word, writer_proc,
+// victim_proc), weights summed, edges bucketed by the victim word's line.
+ConflictGraph reference_graph(
+    const std::vector<ConflictEdge>& recorded, i64 block_size) {
+  std::map<std::tuple<i64, i64, int, int>, u64> acc;
+  for (const ConflictEdge& e : recorded)
+    acc[{e.writer_word, e.victim_word, e.writer_proc, e.victim_proc}] +=
+        e.weight;
+  std::map<i64, std::vector<ConflictEdge>> lines;
+  for (const auto& [k, w] : acc) {
+    const auto& [ww, vw, wp, vp] = k;
+    lines[vw / block_size].push_back({ww, vw, wp, vp, w});
+  }
+  ConflictGraph g;
+  g.block_size = block_size;
+  for (auto& [line, edges] : lines) g.lines.push_back({line, std::move(edges)});
+  return g;
+}
+
+TEST(ConflictGraph, CollectorMatchesOrderedMapReference) {
+  std::mt19937_64 rng(20260);
+  auto pick = [&rng](i64 n) {
+    return static_cast<i64>(rng() % static_cast<u64>(n));
+  };
+  for (i64 block = 4; block <= 4096; block *= 2) {
+    const i64 words = block / 4;
+    std::vector<ConflictEdge> recorded;
+    ConflictCollector coll;
+    for (int i = 0; i < 4000; ++i) {
+      ConflictEdge e;
+      if (!recorded.empty() && pick(4) == 0) {
+        e = recorded[static_cast<size_t>(pick(
+            static_cast<i64>(recorded.size())))];  // a repeated edge
+      } else {
+        const i64 line = pick(300);
+        e.writer_word = line * block + 4 * pick(words);
+        e.victim_word = line * block + 4 * pick(words);
+        // A victim reference that spans two blocks records its first
+        // word, which may lie one line below the writer's.
+        if (line > 0 && pick(16) == 0)
+          e.victim_word = (line - 1) * block + 4 * (words - 1);
+        auto proc = [&] {
+          const i64 r = pick(4);
+          return r == 0 ? 0 : r == 1 ? 63 : static_cast<int>(pick(64));
+        };
+        e.writer_proc = proc();
+        e.victim_proc = proc();
+      }
+      e.weight = 1 + static_cast<u64>(pick(5));
+      coll.record(e.writer_word, e.writer_proc, e.victim_word,
+                  e.victim_proc, e.weight);
+      recorded.push_back(e);
+    }
+    ConflictGraph got = coll.graph(block);
+    ConflictGraph want = reference_graph(recorded, block);
+    EXPECT_EQ(conflict_graph_to_json(got, nullptr),
+              conflict_graph_to_json(want, nullptr))
+        << block;
+  }
+}
+
+TEST(ConflictGraph, CollectorRejectsEdgesOutsideItsPacking) {
+  ConflictCollector coll;
+  EXPECT_TRUE(coll.graph(64).empty());
+  // The widest in-range edges are accepted ...
+  coll.record(4092, 127, 0, 0);
+  coll.record(0, 0, 4092, 127);
+  EXPECT_EQ(coll.graph(4096).total_weight(), 2u);
+  // ... one word further, or a processor id past 7 bits, is not.
+  EXPECT_THROW(coll.record(0, 0, 4096, 1), InternalError);
+  EXPECT_THROW(coll.record(8192, 0, 4096, 1), InternalError);
+  EXPECT_THROW(coll.record(0, 128, 4, 1), InternalError);
+  EXPECT_THROW(coll.record(0, 0, 4, 128), InternalError);
+  EXPECT_THROW(coll.record(0, -1, 4, 1), InternalError);
+  EXPECT_THROW(coll.record(-4, 0, 4, 1), InternalError);
+  EXPECT_THROW(coll.record(2, 0, 4, 1), InternalError);
+}
 
 TEST(ConflictGraph, CollectsAdjacentWordPingPong) {
   Compiled c = compile_source(kPingPong, base_options(false));

@@ -1,8 +1,9 @@
-// Tests for the record-once/replay-many experiment harness: thread-count
-// determinism, trace reuse, result merging, and the at() diagnostics.
+// Tests for the experiment harness: the streamed study against recorded
+// replay, trace reuse, result merging, and the at() diagnostics.
 #include <gtest/gtest.h>
 
 #include "driver/experiment.h"
+#include "workloads/workloads.h"
 
 namespace fsopt {
 namespace {
@@ -25,19 +26,42 @@ Compiled compile_opt() {
   return compile_source(kProgram, opt);
 }
 
-TEST(Experiment, TraceStudyDeterministicAcrossThreadCounts) {
-  Compiled c = compile_opt();
-  AddressMap am = build_address_map(c);
-  TraceStudyResult serial =
-      run_trace_study(c, paper_block_sizes(), 32 * 1024, &am, /*threads=*/1);
-  for (int threads : {2, 4, 8}) {
-    TraceStudyResult parallel =
-        run_trace_study(c, paper_block_sizes(), 32 * 1024, &am, threads);
-    EXPECT_EQ(parallel.refs, serial.refs) << threads;
-    // Every MissStats field of every block size must be bit-identical.
-    EXPECT_EQ(parallel.by_block, serial.by_block) << threads;
-    // ... and the per-datum attribution too.
-    EXPECT_EQ(parallel.by_datum, serial.by_datum) << threads;
+// run_trace_study streams the interpreter's references straight into the
+// simulator on the calling thread; it must equal recording the encoded
+// trace and replaying it at any thread count: aggregate stats, per-datum
+// attribution and the word-granularity conflict graphs alike.  Runs on
+// each program's C(static) compile, the one the repair loop collects on.
+TEST(Experiment, StreamedStudyMatchesRecordedReplay) {
+  const std::vector<i64> blocks = {32, 64, 128, 256};
+  for (const workloads::Workload& w : workloads::all()) {
+    CompileOptions opt;
+    opt.overrides = w.sim_overrides;
+    opt.overrides["NPROCS"] = w.fig3_procs;
+    opt.optimize = true;
+    Compiled c = compile_source(w.natural, opt);
+    AddressMap am = build_address_map(c);
+    TraceStudyResult streamed =
+        run_trace_study(c, blocks, 32 * 1024, &am, 0, true);
+    ASSERT_EQ(streamed.conflicts.size(), blocks.size()) << w.name;
+    EncodedTrace trace = record_encoded_trace(c);
+    for (int threads : {1, 2, 4}) {
+      TraceStudyResult recorded =
+          replay_trace_study(trace, c, blocks, 32 * 1024, &am, threads, true);
+      EXPECT_EQ(streamed.refs, recorded.refs) << w.name << " " << threads;
+      EXPECT_EQ(streamed.by_block, recorded.by_block)
+          << w.name << " " << threads;
+      EXPECT_EQ(streamed.by_datum, recorded.by_datum)
+          << w.name << " " << threads;
+      EXPECT_EQ(streamed.conflicts, recorded.conflicts)
+          << w.name << " " << threads;
+      if (threads != 1) continue;
+      // The exported form too (a structural match implies it; this pins
+      // the serialization the planners' tooling reads).
+      for (i64 b : blocks)
+        EXPECT_EQ(conflict_graph_to_json(streamed.conflicts.at(b), nullptr),
+                  conflict_graph_to_json(recorded.conflicts.at(b), nullptr))
+            << w.name << " block " << b;
+    }
   }
 }
 
